@@ -25,13 +25,12 @@ from .deficiency import (
 )
 from .enumeration import (
     EnumerationLimitError,
+    _enumerate_resumable,
     enumerate_graphs,
-    _LEVELS,
 )
 from .graph import (
     Graph,
     GraphFormatError,
-    from_graph6,
     read_graph6_lines,
     to_graph6,
 )
@@ -148,41 +147,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_resume(path: str, q: int | None) -> None:
-    import os
-
-    if not os.path.exists(path):
-        return
-    with open(path) as fh:
-        state = json.load(fh)
-    if state.get("filter") != (q if q is not None else "none"):
-        raise SystemExit(f"resume file {path} was built with a different filter")
-    levels = [[from_graph6(s) for s in level] for level in state["levels"]]
-    if levels:
-        _LEVELS[q] = levels
-
-
-def _save_resume(path: str, q: int | None) -> None:
-    levels = _LEVELS.get(q, [])
-    state = {
-        "schema": SCHEMA,
-        "filter": q if q is not None else "none",
-        "levels": [[to_graph6(g) for g in level] for level in levels],
-    }
-    with open(path, "w") as fh:
-        json.dump(state, fh)
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     q = _filter_q(args)
-    if args.resume:
-        _load_resume(args.resume, q)
     t0 = time.time()
-    try:
+    if args.resume:
+        graphs = _enumerate_resumable(args.n, q, args.resume)
+    else:
         graphs = enumerate_graphs(args.n, q)
-    finally:
-        if args.resume:
-            _save_resume(args.resume, q)
     _emit_graphs(args, graphs, "enumerate", t0)
     return EXIT_OK
 

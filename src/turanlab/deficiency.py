@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .enumeration import levels_up_to
 from .graph import Graph, bits, to_graph6
-from .invariants import CliquePresentError, clique_number, is_r_colorable
+from .invariants import CliquePresentError, _best_clique, clique_number, is_r_colorable
 from .constructions import turan_number
 
 
@@ -46,37 +46,24 @@ class DeficiencySearchResult:
 
 
 def _max_degree_sum_clique(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum of sum(deg) over r-cliques, with a witness.  Branch and
-    bound over cliques ordered by degree."""
+    """Maximum of sum(deg) over r-cliques, with a witness: the first
+    maximiser in (-deg, v) order, found by the clique kernel on the rows
+    relabelled into that order."""
     degs = g.degrees()
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
     rank = {v: i for i, v in enumerate(order)}
-    rows = g.rows
-    best_sum = -1
-    best: tuple[int, ...] = ()
-
-    def rec(chosen: list[int], acc: int, cand: int, need: int) -> None:
-        nonlocal best_sum, best
-        if need == 0:
-            if acc > best_sum:
-                best_sum = acc
-                best = tuple(sorted(chosen))
-            return
-        # candidates in degree order; the largest possible completion is
-        # the next `need` degrees
-        cvs = sorted(bits(cand), key=lambda v: rank[v])
-        while cvs:
-            bound = acc + sum(degs[v] for v in cvs[:need])
-            if len(cvs) < need or bound <= best_sum:
-                return
-            v = cvs.pop(0)
-            chosen.append(v)
-            rec(chosen, acc + degs[v], cand & rows[v], need - 1)
-            chosen.pop()
-            cand &= ~(1 << v)
-
-    rec([], 0, (1 << g.n) - 1, r)
-    return best_sum, best
+    rows = []
+    for v in order:
+        x = g.rows[v]
+        row = 0
+        while x:
+            low = x & -x
+            row |= 1 << rank[low.bit_length() - 1]
+            x ^= low
+        rows.append(row)
+    weight = [degs[v] for v in order]
+    best = _best_clique(rows, (1 << g.n) - 1, r, weight)
+    return sum(weight[i] for i in best), tuple(sorted(order[i] for i in best))
 
 
 def deficiency(g: Graph, r: int) -> DeficiencyReport:

@@ -7,15 +7,20 @@ canonical certificates, so each level contains exactly one representative
 per isomorphism class, sorted canonically.
 
 Levels are cached per filter so repeated queries (the verification
-commands share the triangle-free levels, for instance) pay once.
+commands share the triangle-free levels, for instance) pay once.  A
+checkpoint file carries that cache between runs and is rewritten after
+every finished order.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import json
+import os
+from typing import Sequence
 
 from .canon import canonical_certificate_rows
-from .graph import Graph
+from .graph import Graph, from_graph6, to_graph6
+from .invariants import _best_clique
 
 
 class EnumerationLimitError(ValueError):
@@ -37,23 +42,6 @@ def _class_count_estimate(n: int) -> str:
     return f"~{10 ** (log10 - exp):.1f}e{exp}"
 
 
-def _has_clique_mask(rows: Sequence[int], mask: int, size: int) -> bool:
-    """Does the induced subgraph on ``mask`` contain a K_size?"""
-    if size <= 0:
-        return True
-    if size == 1:
-        return mask != 0
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
-        if mask.bit_count() + 1 < size:
-            return False
-        if _has_clique_mask(rows, rows[v] & mask, size - 1):
-            return True
-    return False
-
-
 def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
     """All attachment masks S such that adding a vertex joined to S keeps
     the graph K_q-free, i.e. S induces no K_{q-1}.  Includes the empty set."""
@@ -68,7 +56,7 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
     def grow(smask: int, start: int) -> None:
         for u in range(start, k):
             common = rows[u] & smask
-            if common.bit_count() >= need and _has_clique_mask(rows, common, need):
+            if common.bit_count() >= need and _best_clique(rows, common, need) is not None:
                 continue
             nxt = smask | (1 << u)
             out.append(nxt)
@@ -96,13 +84,7 @@ def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
     return out
 
 
-def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[list[Graph]]:
-    """Lists of all non-isomorphic (K_q-free) graphs for orders 1..max_order.
-
-    ``levels[i]`` holds order i+1.  Unrestricted enumeration is capped at
-    order 11 by contract; hereditary clique filters have no hard cap.
-    """
-    q = forbidden_clique
+def _check_request(max_order: int, q: int | None) -> None:
     if q is not None and q < 2:
         raise ValueError("forbidden clique size must be >= 2")
     if max_order < 1:
@@ -112,6 +94,16 @@ def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[li
             f"unrestricted enumeration is limited to order {UNRESTRICTED_MAX}; "
             f"order {max_order} has {_class_count_estimate(max_order)} classes"
         )
+
+
+def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[list[Graph]]:
+    """Lists of all non-isomorphic (K_q-free) graphs for orders 1..max_order.
+
+    ``levels[i]`` holds order i+1.  Unrestricted enumeration is capped at
+    order 11 by contract; hereditary clique filters have no hard cap.
+    """
+    q = forbidden_clique
+    _check_request(max_order, q)
     levels = _LEVELS.setdefault(q, [])
     if not levels:
         levels.append([Graph(1)])
@@ -128,11 +120,27 @@ def enumerate_graphs(n: int, forbidden_clique: int | None = None) -> list[Graph]
     return levels_up_to(n, forbidden_clique)[n - 1]
 
 
-def iter_graphs_up_to(max_order: int, forbidden_clique: int | None = None
-                      ) -> Iterator[Graph]:
-    for level in levels_up_to(max_order, forbidden_clique):
-        yield from level
-
-
-def clear_cache() -> None:
-    _LEVELS.clear()
+def _enumerate_resumable(n: int, q: int | None, path: str) -> list[Graph]:
+    """``enumerate_graphs(n, q)`` continuing from the checkpoint at
+    ``path``, which is replaced atomically after each order it lacked."""
+    key = q if q is not None else "none"
+    saved = 0
+    if os.path.exists(path):
+        with open(path) as fh:
+            state = json.load(fh)
+        if state.get("filter") != key:
+            raise ValueError(f"resume file {path} was built with a different filter")
+        saved = len(state["levels"])
+        if saved:
+            _LEVELS[q] = [[from_graph6(s) for s in level] for level in state["levels"]]
+    if n > 0:
+        _check_request(n, q)
+    # write every order the file lacks, even one already cached in-process
+    for order in range(saved + 1, n + 1):
+        levels = levels_up_to(order, q)
+        state = {"schema": 1, "filter": key,
+                 "levels": [[to_graph6(g) for g in level] for level in levels]}
+        with open(path + ".tmp", "w") as fh:
+            json.dump(state, fh)
+        os.replace(path + ".tmp", path)
+    return enumerate_graphs(n, q)

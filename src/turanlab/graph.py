@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 4096
-GRAPH6_MAX_ORDER = 258047
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph6 input or unencodable graphs."""
+    """Raised for malformed graph6 input."""
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -290,8 +289,6 @@ def to_graph6(g: Graph) -> str:
     """Encode as graph6: header byte(s) for n, then upper-triangle bits
     x(0,1), x(0,2), x(1,2), x(0,3), ... packed 6 per byte, each +63."""
     n = g.n
-    if n > GRAPH6_MAX_ORDER:
-        raise GraphFormatError(f"graph6 supports n <= {GRAPH6_MAX_ORDER}, got {n}")
     if n <= 62:
         head = chr(n + 63)
     else:

@@ -1,8 +1,12 @@
 """Exact clique number, exact chromatic number, k-colourability with
 witnesses, and minimum-degree peeling down to an r-partite remainder.
 
-The clique solver is a bitset branch-and-bound with a greedy colouring
-bound.  The colourability solver branches on the vertex with the fewest
+Every fixed-size clique search, weighted or not, is the bitset kernel
+``_best_clique``.  ``max_clique`` (colour-bounded branch-and-bound) and
+``deficiency._maximal_cliques`` (Bron-Kerbosch) stay apart because their
+search orders fix the witnesses of ``analyze`` and ``blowup-opt``.
+
+The colourability solver branches on the vertex with the fewest
 remaining colours (saturation order), propagates forced colours, and only
 ever opens one previously unused colour per branch, which is what makes
 refuting colourability on mid-sized graphs feasible.  Searches accept an
@@ -117,31 +121,53 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     return len(w), w
 
 
-def find_clique(g: Graph, size: int, within: int | None = None) -> tuple[int, ...] | None:
-    """Some clique of exactly ``size`` vertices inside the mask ``within``
-    (whole graph if omitted), or None.  Early-exits on first hit."""
-    rows = g.rows
-    mask = (1 << g.n) - 1 if within is None else within
-    if size == 0:
-        return ()
+def _best_clique(rows: Sequence[int], mask: int, size: int,
+                 weight: Sequence[int] | None = None, floor: int = -1
+                 ) -> tuple[int, ...] | None:
+    """The lexicographically first clique of ``size`` vertices inside
+    ``mask`` whose total ``weight`` is maximal and above ``floor``, or None.
 
-    def rec(r: list[int], pmask: int, need: int) -> tuple[int, ...] | None:
-        if need == 0:
-            return tuple(r)
-        while pmask:
-            if pmask.bit_count() < need:
-                return None
-            low = pmask & -pmask
+    ``weight`` must not increase with the vertex index, so the ``size``
+    lowest candidates bound every completion.  Without weights the first
+    clique found wins."""
+    if size <= 1:
+        if size == 1 and mask:
+            v = (mask & -mask).bit_length() - 1
+            return (v,) if weight is None or weight[v] > floor else None
+        return () if size == 0 else None
+    if weight is None:
+        while mask.bit_count() >= size:
+            low = mask & -mask
             v = low.bit_length() - 1
-            pmask ^= low
-            r.append(v)
-            got = rec(r, pmask & rows[v], need - 1)
-            if got is not None:
-                return got
-            r.pop()
+            mask ^= low
+            sub = _best_clique(rows, mask & rows[v], size - 1)
+            if sub is not None:
+                return (v,) + sub
         return None
+    best = None
+    while mask.bit_count() >= size:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        mask ^= low
+        bound = weight[v]
+        rest = mask
+        for _ in range(size - 1):
+            top = rest & -rest
+            bound += weight[top.bit_length() - 1]
+            rest ^= top
+        if bound <= floor:
+            break
+        sub = _best_clique(rows, mask & rows[v], size - 1, weight, floor - weight[v])
+        if sub is not None:
+            best = (v,) + sub
+            floor = sum(weight[u] for u in best)
+    return best
 
-    return rec([], mask, size)
+
+def find_clique(g: Graph, size: int, within: int | None = None) -> tuple[int, ...] | None:
+    """The lexicographically first clique of exactly ``size`` vertices
+    inside the mask ``within`` (whole graph if omitted), or None."""
+    return _best_clique(g.rows, (1 << g.n) - 1 if within is None else within, size)
 
 
 def is_clique_free(g: Graph, q: int) -> bool:

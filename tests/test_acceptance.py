@@ -308,3 +308,16 @@ def test_criterion_7_kernel_oracles():
     _report("criterion 7",
             f"counts {counts} match the labeled oracle; "
             f"{round_tripped} graphs round-trip bit-exactly")
+
+
+# -- class counts against OEIS -------------------------------------------------
+
+A006785 = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172, 105071]  # triangle-free
+A000088 = [1, 2, 4, 11, 34, 156, 1044, 12346]                  # all graphs
+
+
+def test_class_counts_match_oeis():
+    # the levels come from the cache criteria 3 and 7 fill
+    assert [len(level) for level in levels_up_to(11, forbidden_clique=3)] == A006785
+    assert [len(level) for level in levels_up_to(8)] == A000088
+    _report("OEIS counts", "A006785 to order 11, A000088 to order 8")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from turanlab import enumeration
 from turanlab.cli import main
 from turanlab.graph import from_graph6
 
@@ -65,6 +66,47 @@ def test_enumerate_resume_roundtrip(tmp_path):
     assert code == 0
     assert len(second.strip().splitlines()) == 38
     assert len(json.loads(state.read_text())["levels"]) == 6
+
+
+def test_enumerate_resume_checkpoints_every_finished_order(tmp_path, monkeypatch):
+    # K8-free: a filter no other test caches in this process
+    state = tmp_path / "state.json"
+    on_disk = []
+    build = enumeration._next_level
+
+    def next_level(parents, q):
+        on_disk.append(len(json.loads(state.read_text())["levels"]))
+        return build(parents, q)
+
+    monkeypatch.setattr(enumeration, "_next_level", next_level)
+    enumeration._LEVELS.pop(8, None)
+    try:
+        assert main(["enumerate", "--n", "5", "--filter", "kr1-free", "--r", "7",
+                     "--resume", str(state), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        enumeration._LEVELS.pop(8, None)
+    assert on_disk == [1, 2, 3, 4]
+    assert len(json.loads(state.read_text())["levels"]) == 5
+    # the temporary file of each atomic write was renamed into place
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "state.json"]
+
+
+def test_enumerate_resume_writes_orders_already_cached(tmp_path):
+    # in-process, a warm level cache must not keep the checkpoint from disk
+    state = tmp_path / "state.json"
+    enumeration.levels_up_to(4, 3)
+    assert main(["enumerate", "--n", "4", "--filter", "triangle-free",
+                 "--resume", str(state), "--out", str(tmp_path / "out")]) == 0
+    assert len(json.loads(state.read_text())["levels"]) == 4
+
+
+def test_enumerate_resume_rejects_another_filters_state(tmp_path):
+    state = tmp_path / "state.json"
+    run_cli(["enumerate", "--n", "3", "--filter", "triangle-free",
+             "--resume", str(state)])
+    code, _, err = run_cli(["enumerate", "--n", "3", "--resume", str(state)])
+    assert code == 2
+    assert "different filter" in err
 
 
 def test_enumerate_infeasible_is_resource_error():

@@ -75,8 +75,10 @@ def test_unrestricted_cap():
 
 
 def test_filtered_enumeration_equals_filtered_all_graphs():
-    for n in range(1, 7):
-        filtered = {certificate(g) for g in enumerate_graphs(n, 4)}
-        by_filter = {certificate(g) for g in enumerate_graphs(n)
-                     if is_clique_free(g, 4)}
-        assert filtered == by_filter
+    # K4- and K5-free filters test attachment sets for K2 and K3
+    for q in (4, 5):
+        for n in range(1, 8):
+            filtered = {certificate(g) for g in enumerate_graphs(n, q)}
+            by_filter = {certificate(g) for g in enumerate_graphs(n)
+                         if is_clique_free(g, q)}
+            assert filtered == by_filter, (q, n)

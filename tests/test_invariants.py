@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from turanlab.constructions import (
@@ -5,8 +7,10 @@ from turanlab.constructions import (
     groetzsch_graph,
     k4free_5chromatic,
 )
+from turanlab.deficiency import deficiency
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
+    bits,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -48,6 +52,29 @@ def test_find_clique_early_exit():
     assert find_clique(g, 4) is None
     assert is_clique_free(g, 4)
     assert not is_clique_free(g, 3)
+
+
+def test_find_clique_is_first_clique_in_lexicographic_order():
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            for within in range(1 << n):
+                for s in range(5):
+                    first = next((c for c in combinations(bits(within), s)
+                                  if _is_clique(g, c)), None)
+                    assert find_clique(g, s, within) == first, (g.rows, within, s)
+
+
+def test_deficiency_clique_is_first_degree_sum_maximiser():
+    # first maximiser over omega-subsets in (-deg, v) order; orders up to 6
+    # still pass with an off-by-one bound or tie-break, order 7 does not
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            w, _ = clique_number(g)
+            deg = g.degrees()
+            order = sorted(range(n), key=lambda v: (-deg[v], v))
+            best = max((c for c in combinations(order, w) if _is_clique(g, c)),
+                       key=lambda c: sum(deg[v] for v in c))
+            assert deficiency(g, w).clique == tuple(sorted(best)), g.rows
 
 
 def test_chromatic_examples():
