@@ -10,7 +10,8 @@ Two prunings keep the search tree small without external dependencies:
 * components are canonicalised independently and then sorted, so unions
   of many isomorphic components never multiply the search.
 
-The certificate of a labelling is the tuple of relabelled adjacency rows;
+The certificate of a labelling is the tuple of relabelled adjacency rows
+(``graph._relabel_rows``, which also cuts out each component);
 the canonical labelling is the one with the lexicographically smallest
 certificate.  Certificates of isomorphic graphs are identical.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, _relabel_rows, bits
 
 
 def _refine(cells: list[list[int]], rows: Sequence[int]) -> list[list[int]]:
@@ -55,34 +56,20 @@ def _refine(cells: list[list[int]], rows: Sequence[int]) -> list[list[int]]:
         cells = out
 
 
-def _certificate(rows: Sequence[int], order: list[int]) -> tuple[int, ...]:
-    pos = {old: new for new, old in enumerate(order)}
-    out = []
-    for old in order:
-        acc = 0
-        for u in bits(rows[old]):
-            acc |= 1 << pos[u]
-        out.append(acc)
-    return tuple(out)
-
-
-def _canon_search(rows: Sequence[int], k: int) -> tuple[tuple[int, ...], list[int]]:
-    """Best certificate and the labelling (new index -> local vertex)
-    achieving it, for a graph on local vertices 0..k-1."""
-    best_cert: tuple[int, ...] | None = None
-    best_order: list[int] | None = None
+def _canon_search(rows: Sequence[int], k: int) -> tuple[int, ...]:
+    """Least certificate over the search leaves, for a graph on local
+    vertices 0..k-1."""
+    best: list[int] | None = None
 
     def rec(cells: list[list[int]]) -> None:
-        nonlocal best_cert, best_order
+        nonlocal best
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            order = [c[0] for c in cells]
-            cert = _certificate(rows, order)
-            if best_cert is None or cert < best_cert:
-                best_cert = cert
-                best_order = order
+            cert = _relabel_rows(rows, [c[0] for c in cells])
+            if best is None or cert < best:
+                best = cert
             return
         # candidates up to interchangeability: skip v when an earlier u in
         # the cell is an open twin (equal rows) or closed twin (rows differ
@@ -103,8 +90,7 @@ def _canon_search(rows: Sequence[int], k: int) -> tuple[tuple[int, ...], list[in
             rec(_refine(sub, rows))
 
     rec(_refine([list(range(k))], rows))
-    assert best_cert is not None and best_order is not None
-    return best_cert, best_order
+    return tuple(best)
 
 
 def _components(rows: Sequence[int], n: int) -> list[int]:
@@ -133,20 +119,11 @@ def canonical_certificate_rows(rows: Sequence[int], n: int) -> tuple[int, ...]:
         return ()
     comps = _components(rows, n)
     if len(comps) == 1:
-        cert, _ = _canon_search(rows, n)
-        return cert
+        return _canon_search(rows, n)
     pieces = []
     for comp in comps:
-        verts = list(bits(comp))
-        pos = {v: i for i, v in enumerate(verts)}
-        local = []
-        for v in verts:
-            acc = 0
-            for u in bits(rows[v] & comp):
-                acc |= 1 << pos[u]
-            local.append(acc)
-        cert, _ = _canon_search(local, len(verts))
-        pieces.append((len(verts), cert))
+        local = _relabel_rows(rows, list(bits(comp)))
+        pieces.append((len(local), _canon_search(local, len(local))))
     # concatenate component certificates, larger components last so that
     # the combined certificate is again isomorphism-invariant
     pieces.sort()

@@ -82,7 +82,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _emit_json(args: argparse.Namespace, payload: dict, t0: float) -> None:
     if getattr(args, "timing", False):
         payload = dict(payload)
-        payload["runtime_ms"] = int((time.time() - t0) * 1000)
+        payload["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -93,38 +93,40 @@ def _parse_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
+# family -> (builder, the options it needs)
 _FAMILIES = {
-    "turan": lambda a: cons.turan_graph(a.n, a.r),
-    "extremal": lambda a: cons.extremal_graph(a.n, a.r),
-    "family": lambda a: cons.extremal_family(a.n, a.r, a.l, a.variant),
-    "groetzsch": lambda a: cons.groetzsch_graph(),
-    "k4f-chi5": lambda a: cons.k4free_5chromatic(),
-    "tf-chi5": lambda a: cons.trianglefree_5chromatic(include_empty=not a.no_empty_set),
-    "sat3-twins": lambda a: cons.three_sat_many_twin_classes(a.f, a.n),
-    "sat-non-blowup": lambda a: cons.sat_non_blowup(a.m, a.r, a.n),
-    "sat3-twin-free": lambda a: cons.three_sat_twin_free(a.m),
-    "sat-twin-free": lambda a: cons.sat_twin_free(a.m, a.r),
+    "turan": (lambda a: cons.turan_graph(a.n, a.r), ("n", "r")),
+    "extremal": (lambda a: cons.extremal_graph(a.n, a.r), ("n", "r")),
+    "family": (lambda a: cons.extremal_family(a.n, a.r, a.l, a.variant),
+               ("n", "r")),
+    "groetzsch": (lambda a: cons.groetzsch_graph(), ()),
+    "k4f-chi5": (lambda a: cons.k4free_5chromatic(), ()),
+    "tf-chi5": (lambda a: cons.trianglefree_5chromatic(not a.no_empty_set), ()),
+    "sat3-twins": (lambda a: cons.three_sat_many_twin_classes(a.f, a.n), ("f", "n")),
+    "sat-non-blowup": (lambda a: cons.sat_non_blowup(a.m, a.r, a.n), ("m", "r", "n")),
+    "sat3-twin-free": (lambda a: cons.three_sat_twin_free(a.m), ("m",)),
+    "sat-twin-free": (lambda a: cons.sat_twin_free(a.m, a.r), ("m", "r")),
 }
+
+# filter -> forbidden clique size; kr1-free takes it from --r
+_FILTERS = {"none": None, "triangle-free": 3, "k4-free": 4}
 
 
 def _filter_q(args: argparse.Namespace) -> int | None:
-    name = args.filter
-    if name == "none":
-        return None
-    if name == "triangle-free":
-        return 3
-    if name == "k4-free":
-        return 4
-    if name == "kr1-free":
-        if args.r is None:
-            raise SystemExit("--filter kr1-free requires --r")
-        return args.r + 1
-    raise SystemExit(f"unknown filter {name!r}")
+    if args.filter in _FILTERS:
+        return _FILTERS[args.filter]
+    if args.r is None:
+        raise ValueError("--filter kr1-free requires --r")
+    return args.r + 1
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    t0 = time.time()
-    g = _FAMILIES[args.family](args)
+    t0 = time.perf_counter()
+    build, needs = _FAMILIES[args.family]
+    missing = [f"--{opt}" for opt in needs if getattr(args, opt) is None]
+    if missing:
+        raise ValueError(f"construct {args.family} requires {' '.join(missing)}")
+    g = build(args)
     if args.format == "json":
         _emit_json(args, {"schema": SCHEMA, "command": "construct",
                           "family": args.family, "n": g.n,
@@ -135,7 +137,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     graphs = _read_graphs(args)
     entries = []
     for i, g in enumerate(graphs):
@@ -149,7 +151,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     q = _filter_q(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.resume:
         graphs = _enumerate_resumable(args.n, q, args.resume)
     else:
@@ -159,7 +161,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     graphs = _read_graphs(args)
     out = [saturate(g, args.q) for g in graphs]
     _emit_graphs(args, out, "saturate", t0)
@@ -167,7 +169,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_blowup_opt(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     graphs = _read_graphs(args)
     entries = []
     for i, g in enumerate(graphs):
@@ -188,7 +190,7 @@ def cmd_blowup_opt(args: argparse.Namespace) -> int:
 
 
 def cmd_extract_tripartite(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     graphs = _read_graphs(args)
     entries = []
     for i, g in enumerate(graphs):
@@ -208,27 +210,25 @@ def cmd_extract_tripartite(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.what == "thm1":
         if args.n is None:
-            raise SystemExit("verify thm1 requires --n (single or lo..hi)")
+            raise ValueError("verify thm1 requires --n (single or lo..hi)")
         report = verify_threshold(args.r, _parse_range(args.n))
     elif args.what == "thm2":
         if args.n is None:
-            raise SystemExit("verify thm2 requires --n (single or lo..hi)")
+            raise ValueError("verify thm2 requires --n (single or lo..hi)")
         ns = _parse_range(args.n)
         subs = [classify_extremal(args.r, n) for n in ns]
         report = {"schema": SCHEMA, "check": "classification", "r": args.r,
                   "cases": subs, "ok": all(s["ok"] for s in subs)}
     elif args.what == "lambda":
         if args.k is None:
-            raise SystemExit("verify lambda requires --k")
+            raise ValueError("verify lambda requires --k")
         report = deficiency_table(args.r, args.k, max_order=args.max_order,
                                   node_budget=args.budget)
-    elif args.what == "lemmas":
+    else:  # lemmas; argparse restricts the choices
         report = lemma_suite()
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown verification {args.what!r}")
     _emit_json(args, report, t0)
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="non-isomorphic graphs of an order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--filter", default="none",
-                   choices=["none", "triangle-free", "k4-free", "kr1-free"])
+                   choices=[*_FILTERS, "kr1-free"])
     p.add_argument("--r", type=int)
     p.add_argument("--resume", help="state file for checkpoint/resume")
     common(p)
@@ -313,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as exc:
         print(f"certificate validation failed: {exc} "
               f"(offender {exc.offender})", file=sys.stderr)
+        return EXIT_MISMATCH
+    except AssertionError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except CliquePresentError as exc:
         print(f"precondition failed: {exc} (witness {exc.witness})",

@@ -71,6 +71,16 @@ def _extremal_base(n: int, r: int) -> tuple[list[list[int]], int, int]:
     return classes, host, other
 
 
+def _add(rows: list[int], a: int, b: int) -> None:
+    rows[a] |= 1 << b
+    rows[b] |= 1 << a
+
+
+def _drop(rows: list[int], a: int, b: int) -> None:
+    rows[a] &= ~(1 << b)
+    rows[b] &= ~(1 << a)
+
+
 def extremal_graph(n: int, r: int) -> Graph:
     """The tight example for the non-colourability threshold: a balanced
     complete r-partite graph on n-1 vertices plus a vertex u joined to two
@@ -118,23 +128,14 @@ def _family_member(n: int, r: int, l: int, variant: str) -> Graph:
     v_other = classes[other][0]
     g = complete_multipartite([len(c) for c in classes]).add_vertex(0)
     rows = list(g.rows)
-
-    def add(a: int, b: int) -> None:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
-    def drop(a: int, b: int) -> None:
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-
     for i, c in enumerate(classes):
         if i not in (host, other):
             for v in c:
-                add(u, v)
+                _add(rows, u, v)
     for w in w_set:
-        add(u, w)
-        drop(v_other, w)
-    add(u, v_other)
+        _add(rows, u, w)
+        _drop(rows, v_other, w)
+    _add(rows, u, v_other)
     return Graph.from_rows(rows, check=False)
 
 
@@ -277,6 +278,28 @@ def _half_subsets(m: int) -> list[tuple[int, ...]]:
     return list(combinations(range(m), m // 2))
 
 
+def _wire_windows(rows: list[int], w1: list[int], w2: list[int],
+                  w3: list[int]) -> None:
+    """Tamper the windows of one non-blow-up gadget: clear W1-W2, W1-W3
+    and W2-W3, match W2[t] to W3[t], and join the i-th W1 vertex to the
+    i-th half-subset of W2 positions and to the other positions of W3."""
+    m = len(w2)
+    for a in w1:
+        for b in w2 + w3:
+            _drop(rows, a, b)
+    for a in w2:
+        for b in w3:
+            _drop(rows, a, b)
+    for t in range(m):
+        _add(rows, w2[t], w3[t])
+    for widx, half in zip(w1, _half_subsets(m)):
+        for t in half:
+            _add(rows, widx, w2[t])
+        for t in range(m):
+            if t not in half:
+                _add(rows, widx, w3[t])
+
+
 def sat_non_blowup(m: int, r: int, n: int) -> Graph:
     """Clique-saturated graph (forbidding K_{r+1}) that is not a blow-up
     of any bounded graph: a balanced r-partite graph on n-1 vertices with
@@ -309,35 +332,13 @@ def sat_non_blowup(m: int, r: int, n: int) -> Graph:
     w3 = classes[2][:m]
     g = complete_multipartite(sizes).add_vertex(0)
     rows = list(g.rows)
-
-    def add(a: int, b: int) -> None:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
-    def drop(a: int, b: int) -> None:
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-
     for widx in (w1, w2, w3):
         for v in widx:
-            add(apex, v)
+            _add(rows, apex, v)
     for i in range(3, r):
         for v in classes[i]:
-            add(apex, v)
-    for a in w1:
-        for b in w2 + w3:
-            drop(a, b)
-    for a in w2:
-        for b in w3:
-            drop(a, b)
-    for t in range(m):
-        add(w2[t], w3[t])
-    for widx, half in zip(w1, _half_subsets(m)):
-        for t in half:
-            add(widx, w2[t])
-        for t in range(m):
-            if t not in half:
-                add(widx, w3[t])
+            _add(rows, apex, v)
+    _wire_windows(rows, w1, w2, w3)
     return Graph.from_rows(rows, check=False)
 
 
@@ -410,46 +411,23 @@ def sat_twin_free(m: int, r: int) -> Graph:
     for _ in range(r):
         g = g.add_vertex(0)
     rows = list(g.rows)
-
-    def add(a: int, b: int) -> None:
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-
-    def drop(a: int, b: int) -> None:
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-
-    halves = _half_subsets(m)
     for i in range(r):
         w1 = classes[i][:big_m]
         w2 = classes[(i + 1) % r][big_m:big_m + m]
         w3 = classes[(i + 2) % r][big_m + m:big_m + 2 * m]
-        for a in w1:
-            for b in w2 + w3:
-                drop(a, b)
-        for a in w2:
-            for b in w3:
-                drop(a, b)
-        for tpos in range(m):
-            add(w2[tpos], w3[tpos])
-        for widx, half in zip(w1, halves):
-            for tpos in half:
-                add(widx, w2[tpos])
-            for tpos in range(m):
-                if tpos not in half:
-                    add(widx, w3[tpos])
+        _wire_windows(rows, w1, w2, w3)
         for v in w1 + w2 + w3:
-            add(hubs[i], v)
+            _add(rows, hubs[i], v)
         for k in range(r):
             if k not in ((i) % r, (i + 1) % r, (i + 2) % r):
                 for v in classes[k]:
-                    add(hubs[i], v)
+                    _add(rows, hubs[i], v)
     # greedy hub edges, keeping the graph K_{r+1}-free
     from .invariants import find_clique
 
     for i in range(r):
         for j in range(i + 1, r):
-            add(hubs[i], hubs[j])
+            _add(rows, hubs[i], hubs[j])
             if find_clique(Graph.from_rows(rows, check=False), r + 1) is not None:
-                drop(hubs[i], hubs[j])
+                _drop(rows, hubs[i], hubs[j])
     return Graph.from_rows(rows, check=False)

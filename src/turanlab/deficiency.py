@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .enumeration import levels_up_to
-from .graph import Graph, bits, to_graph6
+from .graph import Graph, _relabel_rows, bits, to_graph6
 from .invariants import CliquePresentError, _best_clique, clique_number, is_r_colorable
 from .constructions import turan_number
 
@@ -51,16 +51,7 @@ def _max_degree_sum_clique(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
     relabelled into that order."""
     degs = g.degrees()
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
-    rank = {v: i for i, v in enumerate(order)}
-    rows = []
-    for v in order:
-        x = g.rows[v]
-        row = 0
-        while x:
-            low = x & -x
-            row |= 1 << rank[low.bit_length() - 1]
-            x ^= low
-        rows.append(row)
+    rows = _relabel_rows(g.rows, order)
     weight = [degs[v] for v in order]
     best = _best_clique(rows, (1 << g.n) - 1, r, weight)
     return sum(weight[i] for i in best), tuple(sorted(order[i] for i in best))

@@ -70,13 +70,9 @@ def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
     seen: set[tuple[int, ...]] = set()
     out: list[Graph] = []
     for parent in parents:
-        prows = parent.rows
         k = parent.n
-        newbit = 1 << k
-        for smask in _extension_sets(prows, k, q):
-            rows = [r | newbit if (smask >> v) & 1 else r for v, r in enumerate(prows)]
-            rows.append(smask)
-            cert = canonical_certificate_rows(rows, k + 1)
+        for smask in _extension_sets(parent.rows, k, q):
+            cert = canonical_certificate_rows(parent.add_vertex(smask).rows, k + 1)
             if cert not in seen:
                 seen.add(cert)
                 out.append(Graph.from_rows(cert, check=False))

@@ -26,6 +26,28 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _relabel_rows(rows: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Rows of the subgraph induced on ``order``, vertex ``order[i]``
+    becoming vertex i; neighbours outside ``order`` are dropped.  This is
+    the one relabelling routine: canonical certificates call it per leaf,
+    so it indexes a list and peels bits inline."""
+    pos = [0] * len(rows)
+    keep = 0
+    for i, v in enumerate(order):
+        pos[v] = 1 << i
+        keep |= 1 << v
+    out = []
+    for v in order:
+        x = rows[v] & keep
+        acc = 0
+        while x:
+            low = x & -x
+            acc |= pos[low.bit_length() - 1]
+            x ^= low
+        out.append(acc)
+    return out
+
+
 class Graph:
     __slots__ = ("n", "rows", "_m")
 
@@ -133,31 +155,19 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced on ``vertices``; vertex i maps to position i."""
-        pos = {v: i for i, v in enumerate(vertices)}
-        if len(pos) != len(vertices):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices")
-        rows = [0] * len(vertices)
-        for i, v in enumerate(vertices):
-            r = self.rows[v]
-            acc = 0
-            for w, j in pos.items():
-                if (r >> w) & 1:
-                    acc |= 1 << j
-            rows[i] = acc
-        return Graph.from_rows(rows, check=False)
+        return Graph.from_rows(_relabel_rows(self.rows, vertices), check=False)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Relabelled copy where old vertex v becomes ``perm[v]``."""
         n = self.n
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation")
-        rows = [0] * n
-        for v in range(n):
-            acc = 0
-            for u in bits(self.rows[v]):
-                acc |= 1 << perm[u]
-            rows[perm[v]] = acc
-        return Graph.from_rows(rows, check=False)
+        order = [0] * n
+        for v, p in enumerate(perm):
+            order[p] = v
+        return Graph.from_rows(_relabel_rows(self.rows, order), check=False)
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         shift = self.n

@@ -371,7 +371,8 @@ def is_r_colorable(g: Graph, r: int, node_budget: int | None = None
     if raw is None:
         return False, None
     col = _normalized_coloring(raw)
-    assert col.is_proper(g)
+    if not col.is_proper(g):
+        raise AssertionError(f"{r}-colouring witness is not proper")
     return True, col
 
 
@@ -399,7 +400,8 @@ def chromatic_number(g: Graph, node_budget: int | None = None
                 lower=refuted + 1, upper=upper)
         if raw is not None:
             col = _normalized_coloring(raw)
-            assert col.is_proper(g) and col.palette <= k
+            if not col.is_proper(g) or col.palette > k:
+                raise AssertionError(f"{k}-colouring witness is not a proper {k}-colouring")
             return col.palette, col
         refuted = k
     return upper, greedy

@@ -39,9 +39,12 @@ SCHEMA = 1
 
 
 def _revalidate_extremal(g: Graph, r: int, size: int) -> None:
-    assert g.edge_count == size
-    assert is_clique_free(g, r + 1)
-    assert not is_r_colorable(g, r)[0]
+    if g.edge_count != size:
+        raise AssertionError(f"extremal witness has {g.edge_count} edges, not {size}")
+    if not is_clique_free(g, r + 1):
+        raise AssertionError(f"extremal witness contains a K_{r + 1}")
+    if is_r_colorable(g, r)[0]:
+        raise AssertionError(f"extremal witness is {r}-colourable")
 
 
 def verify_threshold(r: int, n_values: Iterable[int]) -> dict:
@@ -142,7 +145,8 @@ def _gadget_claims(r: int, k: int) -> dict | None:
     else:
         return None
     chi, _ = chromatic_number(g)
-    assert chi >= k
+    if chi < k:
+        raise AssertionError(f"gadget for (r={r}, k={k}) has chromatic number {chi}")
     rep = deficiency(g, r)
     return {
         "graph6": to_graph6(g),
@@ -188,7 +192,9 @@ def deficiency_table(r: int, k: int, max_order: int | None = None,
         }
         ok = ok and sr.complete
         if sr.value is not None:
-            assert sr.value >= lower
+            if sr.value < lower:
+                raise AssertionError(
+                    f"search minimum {sr.value} is below the lower bound {lower}")
             if sr.complete and (upper is None or sr.value < upper):
                 upper = sr.value
     # a global value is only claimed when the verified bounds pinch; a bare
@@ -380,6 +386,8 @@ def analyze_graph(g: Graph, r: int | None = None, q: int | None = None) -> dict:
         rep = deficiency(g, rr)
         entry["deficiency"] = {"r": rr, "value": rep.value,
                                "clique": list(rep.clique)}
-    assert col.is_proper(g)
-    assert all(g.has_edge(a, b) for i, a in enumerate(wit) for b in wit[i + 1:])
+    if not col.is_proper(g):
+        raise AssertionError("chromatic witness is not a proper colouring")
+    if not all(g.has_edge(a, b) for i, a in enumerate(wit) for b in wit[i + 1:]):
+        raise AssertionError(f"clique witness {wit} is not a clique")
     return entry

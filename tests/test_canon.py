@@ -1,7 +1,9 @@
+import itertools
 import random
 
 from turanlab.canon import are_isomorphic, canonical_form, certificate
 from turanlab.constructions import extremal_graph, groetzsch_graph
+from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
     complete_graph,
@@ -30,6 +32,17 @@ def test_permutation_invariance_bulk():
         perm = list(range(n))
         rng.shuffle(perm)
         assert certificate(g.relabel(perm)) == certificate(g)
+
+
+def test_certificate_equal_under_all_relabellings():
+    # relabel through edge lists, not Graph.relabel, so a fault in the
+    # shared row relabelling cannot hide on both sides of the comparison
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            edges = list(g.edges())
+            for perm in itertools.permutations(range(n)):
+                h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+                assert certificate(h) == g.rows
 
 
 def test_c5_self_complementary():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from turanlab import enumeration
+from turanlab import cli, enumeration
 from turanlab.cli import main
 from turanlab.graph import from_graph6
 
@@ -176,6 +176,30 @@ def test_reports_byte_stable():
 def test_exit_code_on_usage_error():
     code, _, err = run_cli(["analyze"], stdin_text="notagraph6\x01\n")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "turan"],
+    ["construct", "family", "--n", "9"],
+    ["enumerate", "--n", "4", "--filter", "kr1-free"],
+    ["verify", "thm1"],
+    ["verify", "thm2"],
+    ["verify", "lambda"],
+])
+def test_missing_option_is_usage_error(argv):
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error: ") and "requires" in err
+    assert "Traceback" not in err
+
+
+def test_failed_check_exits_one(monkeypatch, capsys):
+    def broken(r, n_values):
+        raise AssertionError("extremal witness is 2-colourable")
+
+    monkeypatch.setattr(cli, "verify_threshold", broken)
+    assert main(["verify", "thm1", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "check failed: extremal witness is 2-colourable\n"
 
 
 def test_main_entry_direct(capsys):

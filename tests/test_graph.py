@@ -54,6 +54,29 @@ def test_induced_and_relabel():
         p4.relabel([0, 0, 1, 2])
 
 
+def test_induced_and_relabel_match_edge_sets():
+    # edge-set oracles that share no code with the bitset relabelling
+    rng = random.Random(31337)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        p = rng.choice([0.2, 0.5, 0.8])
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p}
+        g = Graph(n, edges)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert set(g.relabel(perm).edges()) == {
+            tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+        verts = rng.sample(range(n), rng.randrange(0, n + 1))
+        pos = {v: i for i, v in enumerate(verts)}
+        assert g.induced(verts).n == len(verts)
+        assert set(g.induced(verts).edges()) == {
+            tuple(sorted((pos[u], pos[v]))) for u, v in edges
+            if u in pos and v in pos}
+    with pytest.raises(ValueError):
+        path_graph(4).induced([1, 2, 1])
+
+
 # -- graph6 -------------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 from turanlab.canon import are_isomorphic
 from turanlab.graph import from_graph6, cycle_graph
 from turanlab.verify import (
@@ -82,3 +85,18 @@ def test_deficiency_table_with_search():
     assert rep["search"]["value"] == 1
     assert rep["search"]["minimal_order"] == 5
     assert rep["upper_bound"] == 1
+
+
+def test_revalidation_survives_optimisation():
+    # a bare assert vanishes under python -O; the check must still raise
+    code = (
+        "from turanlab.graph import cycle_graph\n"
+        "from turanlab.verify import _revalidate_extremal\n"
+        "try:\n"
+        "    _revalidate_extremal(cycle_graph(4), 2, 4)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
