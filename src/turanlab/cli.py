@@ -88,8 +88,10 @@ def _emit_json(args: argparse.Namespace, payload: dict, t0: float) -> None:
 
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in spec.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty range {spec}: {lo} > {hi}")
+        return list(range(lo, hi + 1))
     return [int(spec)]
 
 

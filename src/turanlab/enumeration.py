@@ -2,14 +2,17 @@
 
 Graphs are generated order by order: every graph on n vertices arises from
 a graph on n-1 vertices by attaching a new vertex, and for K_q-freeness the
-attachment set must induce no K_{q-1}.  Children are deduplicated through
-canonical certificates, so each level contains exactly one representative
-per isomorphism class, sorted canonically.
+attachment set must induce no K_{q-1}.  Repeats are removed by canonical
+deletion (McKay's canonical construction path): a graph G is kept only
+when built from the class of G - m(G), where m(G) is a fixed vertex of
+least (degree, sorted neighbour degrees), so no set of every form seen is
+needed and each parent is handled on its own.  Each level contains exactly
+one canonical representative per isomorphism class, sorted canonically.
 
 Levels are cached per filter so repeated queries (the verification
 commands share the triangle-free levels, for instance) pay once.  A
-checkpoint file carries that cache between runs and is rewritten after
-every finished order.
+checkpoint file carries that cache between runs, is rewritten after every
+finished order and is checked on load.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import os
 from typing import Sequence
 
 from .canon import canonical_certificate_rows
-from .graph import Graph, from_graph6, to_graph6
-from .invariants import _best_clique
+from .graph import Graph, _relabel_rows, bits, from_graph6, to_graph6
+from .invariants import _best_clique, find_clique
 
 
 class EnumerationLimitError(ValueError):
@@ -66,16 +69,61 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
     return out
 
 
+def _canonical_parent(cert: Sequence[int]) -> tuple[int, ...]:
+    """Certificate of G - m(G) for the canonical rows ``cert`` of G, where
+    m(G) is the first vertex of least (degree, sorted neighbour degrees):
+    on canonical rows, an isomorphism-invariant choice."""
+    deg = [r.bit_count() for r in cert]
+    m = min(range(len(cert)),
+            key=lambda v: (deg[v], sorted(deg[u] for u in bits(cert[v]))))
+    rest = [v for v in range(len(cert)) if v != m]
+    return canonical_certificate_rows(_relabel_rows(cert, rest), len(rest))
+
+
 def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
-    seen: set[tuple[int, ...]] = set()
+    """Canonical deletion: a child of ``parent`` is kept when its
+    certificate minus m(child) is ``parent`` again, which needs the new
+    vertex k to have the least invariant.  Only children where it has are
+    labelled, and only ties between several such vertices pay the labelling
+    of the deletion.  The class of G comes only from the class of G - m(G),
+    which is one parent, so one set per parent removes the repeats that
+    automorphisms of the parent make."""
     out: list[Graph] = []
     for parent in parents:
         k = parent.n
-        for smask in _extension_sets(parent.rows, k, q):
-            cert = canonical_certificate_rows(parent.add_vertex(smask).rows, k + 1)
-            if cert not in seen:
-                seen.add(cert)
-                out.append(Graph.from_rows(cert, check=False))
+        rows = parent.rows
+        deg = [r.bit_count() for r in rows]
+        # at[d]: parent vertices of degree d; under[d]: those of degree < d
+        at = [0] * (k + 1)
+        for v, d in enumerate(deg):
+            at[d] |= 1 << v
+        under = [0] * (k + 1)
+        for d in range(k):
+            under[d + 1] = under[d] | at[d]
+        seen: set[tuple[int, ...]] = set()
+        for smask in _extension_sets(rows, k, q):
+            d = smask.bit_count()
+            # k, of degree d, has least degree: every parent vertex of
+            # degree < d is joined to k, and none of degree < d - 1 is
+            # (index -1 comes only with d = 0, that is smask = 0)
+            if under[d] & ~smask or under[d - 1] & smask:
+                continue
+            child = parent.add_vertex(smask).rows
+            cdeg = [r.bit_count() for r in child]
+            # then it has the least sorted neighbour degrees among the
+            # vertices of degree d
+            key = sorted(cdeg[u] for u in bits(smask))
+            same = (at[d] & ~smask) | (at[d - 1] & smask)
+            others = [sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)]
+            if any(other < key for other in others):
+                continue
+            cert = canonical_certificate_rows(child, k + 1)
+            if cert in seen:
+                continue
+            seen.add(cert)
+            if key in others and _canonical_parent(cert) != rows:
+                continue
+            out.append(Graph.from_rows(cert, check=False))
     out.sort(key=lambda g: g.rows)
     return out
 
@@ -116,19 +164,68 @@ def enumerate_graphs(n: int, forbidden_clique: int | None = None) -> list[Graph]
     return levels_up_to(n, forbidden_clique)[n - 1]
 
 
+def _check_levels(levels: list[list[Graph]], q: int | None, path: str) -> None:
+    """Raise ValueError unless ``levels`` can be this module's levels for
+    the filter: order 1 is [K1]; every graph has its level's order, is
+    canonical and passes the filter; every level is strictly increasing;
+    the canonical-deletion parent of every graph is one order down; and
+    every graph plus an isolated vertex is one order up.  The generator
+    compares children with the parent rows, so a level failing these
+    would silently lose graphs of every later order."""
+    if levels and [g.rows for g in levels[0]] != [(0,)]:
+        raise ValueError(f"resume file {path}: order 1 must hold only K1")
+    below: set[tuple[int, ...]] = set()
+    for i, level in enumerate(levels, 1):
+        here: set[tuple[int, ...]] = set()
+        # m(G) is an isolated vertex when G has one, so the parents of the
+        # graphs with an isolated vertex are the F whose F + K1 is here
+        lifted: set[tuple[int, ...]] = set()
+        last: tuple[int, ...] | None = None
+        for g in level:
+            rows = g.rows
+            bad = ""
+            if g.n != i:
+                bad = f"has order {g.n}"
+            elif last is not None and rows <= last:
+                bad = "is out of order or repeated"
+            elif canonical_certificate_rows(rows, i) != rows:
+                bad = "is not canonical"
+            elif q is not None and find_clique(g, q) is not None:
+                bad = f"contains K{q}"
+            elif i > 1:
+                parent = _canonical_parent(rows)
+                if parent not in below:
+                    bad = "has its canonical-deletion parent missing one order down"
+                elif 0 in rows:
+                    lifted.add(parent)
+            if bad:
+                raise ValueError(f"resume file {path}: order-{i} graph {to_graph6(g)} {bad}")
+            here.add(rows)
+            last = rows
+        if i > 1 and lifted != below:
+            raise ValueError(f"resume file {path}: order {i} lacks a graph of order "
+                             f"{i - 1} plus an isolated vertex")
+        below = here
+
+
 def _enumerate_resumable(n: int, q: int | None, path: str) -> list[Graph]:
     """``enumerate_graphs(n, q)`` continuing from the checkpoint at
-    ``path``, which is replaced atomically after each order it lacked."""
+    ``path``, which is checked on load and replaced atomically after each
+    order it lacked."""
     key = q if q is not None else "none"
     saved = 0
     if os.path.exists(path):
         with open(path) as fh:
             state = json.load(fh)
+        if not isinstance(state, dict) or not isinstance(state.get("levels"), list):
+            raise ValueError(f"resume file {path} is not a turanlab state")
         if state.get("filter") != key:
             raise ValueError(f"resume file {path} was built with a different filter")
-        saved = len(state["levels"])
+        levels = [[from_graph6(s) for s in level] for level in state["levels"]]
+        _check_levels(levels, q, path)
+        saved = len(levels)
         if saved:
-            _LEVELS[q] = [[from_graph6(s) for s in level] for level in state["levels"]]
+            _LEVELS[q] = levels
     if n > 0:
         _check_request(n, q)
     # write every order the file lacks, even one already cached in-process

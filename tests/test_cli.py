@@ -6,7 +6,7 @@ import pytest
 
 from turanlab import cli, enumeration
 from turanlab.cli import main
-from turanlab.graph import from_graph6
+from turanlab.graph import Graph, from_graph6, to_graph6
 
 
 def run_cli(args, stdin_text=""):
@@ -109,6 +109,50 @@ def test_enumerate_resume_rejects_another_filters_state(tmp_path):
     assert "different filter" in err
 
 
+def test_enumerate_resume_rejects_an_incomplete_level(tmp_path):
+    # the order-3 level holds only the empty graph: K2 + K1 and P3 are gone
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"schema": 1, "filter": 3,
+                                 "levels": [["@"], ["A?", "A_"], ["B?"]]}))
+    code, out, err = run_cli(["enumerate", "--n", "4", "--filter", "triangle-free",
+                              "--resume", str(state)])
+    assert code == 2 and out == ""
+    assert "plus an isolated vertex" in err and "Traceback" not in err
+
+
+def test_enumerate_resume_rejects_a_non_canonical_graph(tmp_path):
+    state = tmp_path / "state.json"
+    assert main(["enumerate", "--n", "4", "--filter", "triangle-free",
+                 "--resume", str(state), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads(state.read_text())
+    # the path on 4 vertices, labelled 0-2-1-3 instead of canonically
+    g = from_graph6(payload["levels"][3][4])
+    assert g.edge_count == 3 and sorted(g.degrees()) == [1, 1, 2, 2]
+    forged = to_graph6(Graph(4, [(0, 2), (2, 1), (1, 3)]))
+    assert forged != payload["levels"][3][4]
+    payload["levels"][3][4] = forged
+    state.write_text(json.dumps(payload))
+    code, _, err = run_cli(["enumerate", "--n", "5", "--filter", "triangle-free",
+                            "--resume", str(state)])
+    assert code == 2
+    assert "is not canonical" in err
+
+
+@pytest.mark.parametrize("levels,reason", [
+    ([["A?"]], "order 1 must hold only K1"),
+    ([["@"], ["A_", "A?"]], "out of order"),
+    ([["@"], ["A?", "A_"], ["Bw"]], "contains K3"),
+    ([["@"], ["A?"], ["B?", "BW"]], "parent missing"),
+])
+def test_enumerate_resume_rejects_forged_levels(tmp_path, levels, reason):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"schema": 1, "filter": 3, "levels": levels}))
+    code, _, err = run_cli(["enumerate", "--n", "4", "--filter", "triangle-free",
+                            "--resume", str(state)])
+    assert code == 2
+    assert reason in err
+
+
 def test_enumerate_infeasible_is_resource_error():
     code, _, err = run_cli(["enumerate", "--n", "12"])
     assert code == 2
@@ -146,6 +190,16 @@ def test_verify_thm1_range():
     payload = json.loads(out)
     assert payload["ok"] is True
     assert [c["computed_max"] for c in payload["cases"]] == [5, 7]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm1", "--n", "7..5"],
+    ["verify", "thm2", "--r", "3", "--n", "9..3"],
+])
+def test_reversed_range_is_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: empty range")
 
 
 def test_verify_thm2_single():

@@ -1,12 +1,16 @@
 """Generation is validated against an independent labeled-graph oracle:
 every labeled graph on n vertices is generated from its adjacency bits and
-bucketed by certificate, with no shared generation machinery."""
+bucketed by certificate, with no shared generation machinery.  The
+canonical-deletion generator is also checked level by level against the
+global-seen-set generator it replaced, which labels every child."""
 
 import pytest
 
-from turanlab.canon import certificate
+from turanlab import enumeration
+from turanlab.canon import canonical_certificate_rows, certificate
 from turanlab.enumeration import (
     EnumerationLimitError,
+    _extension_sets,
     enumerate_graphs,
     levels_up_to,
 )
@@ -82,3 +86,43 @@ def test_filtered_enumeration_equals_filtered_all_graphs():
             by_filter = {certificate(g) for g in enumerate_graphs(n)
                          if is_clique_free(g, q)}
             assert filtered == by_filter, (q, n)
+
+
+def _seen_set_next_level(parents, q):
+    """The former generator: label every child and keep the first graph of
+    each certificate, over one set for the whole level."""
+    seen = set()
+    out = []
+    for parent in parents:
+        k = parent.n
+        for smask in _extension_sets(parent.rows, k, q):
+            cert = canonical_certificate_rows(parent.add_vertex(smask).rows, k + 1)
+            if cert not in seen:
+                seen.add(cert)
+                out.append(Graph.from_rows(cert, check=False))
+    out.sort(key=lambda g: g.rows)
+    return out
+
+
+@pytest.mark.parametrize("q,max_order", [(None, 7), (3, 9), (4, 7), (5, 7)])
+def test_levels_equal_the_seen_set_generator(q, max_order):
+    levels = levels_up_to(max_order, q)
+    level = [Graph(1)]
+    for n in range(2, max_order + 1):
+        level = _seen_set_next_level(level, q)
+        assert [g.rows for g in levels[n - 1]] == [g.rows for g in level], (q, n)
+
+
+def test_triangle_free_order_nine_labels_few_children(monkeypatch):
+    # the seen-set generator labels all 24,149 children of order 9
+    parents = levels_up_to(8, 3)[-1]
+    calls = []
+
+    def counting(rows, n):
+        calls.append(n)
+        return canonical_certificate_rows(rows, n)
+
+    monkeypatch.setattr(enumeration, "canonical_certificate_rows", counting)
+    level = enumeration._next_level(parents, 3)
+    assert len(level) == 1897
+    assert len(calls) <= 5000
