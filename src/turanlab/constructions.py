@@ -422,12 +422,14 @@ def sat_twin_free(m: int, r: int) -> Graph:
             if k not in ((i) % r, (i + 1) % r, (i + 2) % r):
                 for v in classes[k]:
                     _add(rows, hubs[i], v)
-    # greedy hub edges, keeping the graph K_{r+1}-free
+    # greedy hub edges, keeping the graph K_{r+1}-free: the graph is
+    # K_{r+1}-free before each edge, so only a K_{r+1} through the new
+    # edge, a K_{r-1} among the common neighbours, can arise
     from .invariants import find_clique
 
     for i in range(r):
         for j in range(i + 1, r):
-            _add(rows, hubs[i], hubs[j])
-            if find_clique(Graph.from_rows(rows, check=False), r + 1) is not None:
-                _drop(rows, hubs[i], hubs[j])
+            g = Graph.from_rows(rows, check=False)
+            if find_clique(g, r - 1, within=rows[hubs[i]] & rows[hubs[j]]) is None:
+                _add(rows, hubs[i], hubs[j])
     return Graph.from_rows(rows, check=False)

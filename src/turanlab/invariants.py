@@ -9,9 +9,15 @@ search orders fix the witnesses of ``analyze`` and ``blowup-opt``.
 The colourability solver branches on the vertex with the fewest
 remaining colours (saturation order), propagates forced colours, and only
 ever opens one previously unused colour per branch, which is what makes
-refuting colourability on mid-sized graphs feasible.  Searches accept an
-optional node budget; exhausting it raises ``SearchBudgetExceeded`` so a
-resource abort can never be mistaken for a mathematical answer.
+refuting colourability on mid-sized graphs feasible.  Its whole state is
+bitmasks over the vertices, renumbered once by (-degree, index): per
+colour the vertices that may still take it, per count the vertices with
+that many colours left, the colour classes and the uncoloured vertices.
+The saturation choice is then the lowest vertex of the first non-empty
+count, and a branch copies the masks instead of undoing a trail.
+Searches accept an optional node budget; exhausting it raises
+``SearchBudgetExceeded``, with the nodes spent, so a resource abort can
+never be mistaken for a mathematical answer.
 """
 
 from __future__ import annotations
@@ -19,16 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, _relabel_rows, bits
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Search ran out of its node budget before reaching an exact answer."""
+    """Search ran out of its node budget before reaching an exact answer;
+    ``nodes`` is the number of search nodes it spent."""
 
-    def __init__(self, message: str, lower: int | None = None, upper: int | None = None):
+    def __init__(self, message: str, lower: int | None = None,
+                 upper: int | None = None, nodes: int | None = None):
         super().__init__(message)
         self.lower = lower
         self.upper = upper
+        self.nodes = nodes
 
 
 class CliquePresentError(ValueError):
@@ -136,6 +145,16 @@ def _best_clique(rows: Sequence[int], mask: int, size: int,
             return (v,) if weight is None or weight[v] > floor else None
         return () if size == 0 else None
     if weight is None:
+        if size == 2:
+            # the lowest vertex with a later neighbour, and its lowest one
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                v = low.bit_length() - 1
+                later = rows[v] & mask
+                if later:
+                    return (v, (later & -later).bit_length() - 1)
+            return None
         while mask.bit_count() >= size:
             low = mask & -mask
             v = low.bit_length() - 1
@@ -218,17 +237,18 @@ def _two_color(rows: Sequence[int], n: int) -> list[int] | None:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Search nodes spent, against an optional limit."""
 
-    def __init__(self, nodes: int | None):
-        self.left = nodes
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.spent = 0
 
     def spend(self) -> bool:
-        if self.left is None:
-            return True
-        if self.left <= 0:
+        if self.limit is not None and self.spent >= self.limit:
             return False
-        self.left -= 1
+        self.spent += 1
         return True
 
 
@@ -249,85 +269,95 @@ def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] 
     if len(clique) > k:
         return None
 
-    full = (1 << k) - 1
-    dom = [full] * n
-    color = [-1] * n
+    # vertex i is old vertex order[i], so the lowest index is the highest
+    # degree, then the lowest old index: the saturation tie-break
     degs = [r.bit_count() for r in rows]
-    state = {"uncolored": n, "used": 0}
+    order = sorted(range(n), key=lambda v: (-degs[v], v))
+    rows = _relabel_rows(rows, order)
+    new = [0] * n
+    for i, v in enumerate(order):
+        new[v] = i
+    # the state, copied per branch: among the uncoloured vertices (mask
+    # uncol), avail[c] holds those that may still take colour c and
+    # size[s] those with s colours left (s = 1..k; a vertex that would
+    # reach 0 is a dead end, so size[0] stays empty); cls[c] is colour
+    # class c
+    counts = range(2, k + 1)
 
-    trail: list[tuple[int, int]] = []  # (vertex, previous domain)
-    assigned_stack: list[int] = []
+    def place(avail: list[int], size: list[int], cls: list[int], uncol: int,
+              w: int, c: int) -> int:
+        """Colour w with c, which it may take, then every forced vertex,
+        updating the lists in place; the new uncol, or -1 on a dead end."""
+        while True:
+            low = 1 << w
+            cls[c] |= low
+            uncol ^= low
+            hit = rows[w] & avail[c] & uncol
+            if hit:
+                if size[1] & hit:
+                    return -1
+                avail[c] ^= hit
+                for s in counts:
+                    moved = size[s] & hit
+                    if moved:
+                        size[s] ^= moved
+                        size[s - 1] |= moved
+            forced = size[1] & uncol
+            if not forced:
+                return uncol
+            low = forced & -forced
+            w = low.bit_length() - 1
+            c = 0
+            while not avail[c] & low:
+                c += 1
 
-    def place(v: int, c: int) -> bool:
-        """Assign colour c to v and propagate forced assignments.
-        Returns False on a dead end (caller rewinds trail and stack)."""
-        queue = [(v, c)]
-        while queue:
-            w, cw = queue.pop()
-            if color[w] >= 0:
-                if color[w] != cw:
-                    return False
-                continue
-            color[w] = cw
-            assigned_stack.append(w)
-            state["uncolored"] -= 1
-            state["used"] |= 1 << cw
-            for u in bits(rows[w]):
-                if color[u] >= 0:
-                    if color[u] == cw:
-                        return False
-                    continue
-                d = dom[u]
-                if d & (1 << cw):
-                    trail.append((u, d))
-                    d &= ~(1 << cw)
-                    dom[u] = d
-                    if d == 0:
-                        return False
-                    if d & (d - 1) == 0:
-                        queue.append((u, d.bit_length() - 1))
-        return True
-
-    def dfs() -> bool:
-        if state["uncolored"] == 0:
-            return True
+    def search(avail: list[int], size: list[int], cls: list[int], uncol: int
+               ) -> list[int] | None:
+        if not uncol:
+            return cls
         if not budget.spend():
-            raise SearchBudgetExceeded(f"{k}-colourability search budget exhausted")
-        # saturation order: fewest remaining colours, then highest degree,
-        # then lowest index
-        v = -1
-        best_key = None
-        for u in range(n):
-            if color[u] >= 0:
-                continue
-            key = (dom[u].bit_count(), -degs[u], u)
-            if best_key is None or key < best_key:
-                best_key = key
-                v = u
-        used = state["used"]
-        fresh = ~used & (used + 1) if used != full else 0
-        allowed = dom[v] & (used | fresh)
-        for c in bits(allowed):
-            tmark = len(trail)
-            amark = len(assigned_stack)
-            umark = state["used"]
-            if place(v, c) and dfs():
-                return True
-            while len(trail) > tmark:
-                u, d = trail.pop()
-                dom[u] = d
-            while len(assigned_stack) > amark:
-                w = assigned_stack.pop()
-                color[w] = -1
-                state["uncolored"] += 1
-            state["used"] = umark
-        return False
-
-    for i, v in enumerate(clique):
-        if not place(v, i):
-            return None
-    if state["uncolored"] and not dfs():
+            raise SearchBudgetExceeded(f"{k}-colourability search budget exhausted",
+                                       nodes=budget.spent)
+        s = 2
+        while not size[s] & uncol:
+            s += 1
+        pick = size[s] & uncol
+        low = pick & -pick
+        v = low.bit_length() - 1
+        used = 0
+        while used < k and cls[used]:
+            used += 1
+        # the used colours and one fresh one, lowest first
+        for c in range(min(used + 1, k)):
+            if avail[c] & low:
+                a, z, cl = avail[:], size[:], cls[:]
+                left = place(a, z, cl, uncol, v, c)
+                if left >= 0:
+                    found = search(a, z, cl, left)
+                    if found is not None:
+                        return found
         return None
+
+    everyone = (1 << n) - 1
+    avail = [everyone] * k
+    size = [0] * k + [everyone]
+    cls = [0] * k
+    uncol = everyone
+    # clique vertex i takes colour i; one that propagation coloured
+    # already has it, since its clique neighbours hold the other colours
+    for i, v in enumerate(clique):
+        w = new[v]
+        if (uncol >> w) & 1:
+            uncol = place(avail, size, cls, uncol, w, i)
+            if uncol < 0:
+                return None
+    found = search(avail, size, cls, uncol)
+    if found is None:
+        return None
+    color = [0] * n
+    for c, members in enumerate(found):
+        for i in bits(members):
+            color[order[i]] = c
     return color
 
 
@@ -397,7 +427,7 @@ def chromatic_number(g: Graph, node_budget: int | None = None
         except SearchBudgetExceeded:
             raise SearchBudgetExceeded(
                 f"chromatic number undecided: in [{refuted + 1}, {upper}]",
-                lower=refuted + 1, upper=upper)
+                lower=refuted + 1, upper=upper, nodes=budget.spent)
         if raw is not None:
             col = _normalized_coloring(raw)
             if not col.is_proper(g) or col.palette > k:

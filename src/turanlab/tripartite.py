@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .graph import Graph, bits
-from .invariants import CliquePresentError, aes_peel, assert_clique_free
+from .invariants import CliquePresentError, aes_peel
 from .saturation import is_saturated
 
 
@@ -73,8 +73,9 @@ def validate_certificate(g: Graph, cert: TripartiteCertificate) -> None:
 def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
     """Extract a complete tripartite subgraph from a K4-free, 4-saturated
     graph (both preconditions checked, witnesses reported on failure)."""
-    assert_clique_free(g, 4)
     sat = is_saturated(g, 4)
+    if sat.obstruction is not None:
+        raise CliquePresentError("graph contains a K_4", sat.obstruction)
     if not sat.saturated:
         missing = sat.missing()[0]
         raise CliquePresentError(

@@ -17,10 +17,11 @@ from turanlab.constructions import (
     turan_graph,
     turan_number,
 )
-from turanlab.graph import cycle_graph, twin_classes
+from turanlab.graph import Graph, cycle_graph, twin_classes
 from turanlab.invariants import (
     chromatic_number,
     clique_number,
+    find_clique,
     is_clique_free,
     is_r_colorable,
 )
@@ -205,3 +206,24 @@ def test_sat_twin_free():
     base = turan_number(42, 3)
     assert g.edge_count == (base - r * (2 * big_m * m + m * m - big_m * m - m)
                             + r * (2 * m + big_m) + hub_edges)
+
+
+def test_sat_twin_free_hub_edges_follow_the_full_graph_rule():
+    # oracle: strip the hub edges and add them back in index order, each
+    # kept when the whole graph stays K_{r+1}-free
+    for m in (2, 4):
+        for r in (3, 4, 5):
+            g = sat_twin_free(m, r)
+            hubs = range(g.n - r, g.n)
+            hub_mask = sum(1 << h for h in hubs)
+            rows = [row & ~hub_mask if v in hubs else row
+                    for v, row in enumerate(g.rows)]
+            for i in hubs:
+                for j in range(i + 1, g.n):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                    if find_clique(Graph.from_rows(rows), r + 1) is not None:
+                        rows[i] &= ~(1 << j)
+                        rows[j] &= ~(1 << i)
+            assert tuple(rows) == g.rows, (m, r)
+            assert is_clique_free(g, r + 1), (m, r)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,10 +7,12 @@ from turanlab.constructions import (
     extremal_graph,
     groetzsch_graph,
     k4free_5chromatic,
+    trianglefree_5chromatic,
 )
 from turanlab.deficiency import deficiency
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
+    Graph,
     bits,
     complete_graph,
     complete_multipartite,
@@ -19,6 +22,10 @@ from turanlab.graph import (
 from turanlab.invariants import (
     CliquePresentError,
     SearchBudgetExceeded,
+    _Budget,
+    _greedy_clique,
+    _k_color,
+    _two_color,
     aes_peel,
     chromatic_number,
     clique_number,
@@ -116,6 +123,159 @@ def test_budget_abort_is_distinct():
         chromatic_number(g, node_budget=1)
     assert err.value.lower is not None and err.value.upper is not None
     assert err.value.lower <= 5 <= err.value.upper
+
+
+def _trail_k_color(rows, n, k, budget):
+    """The trail-based colouring search the bitmask one replaced: same
+    branching vertex, colour order and fresh-colour rule, one domain mask
+    per vertex and an undo trail.  Kept as the oracle."""
+    if n == 0:
+        return []
+    if k <= 0:
+        return None
+    if k == 1:
+        return [0] * n if all(r == 0 for r in rows) else None
+    if k >= n:
+        return list(range(n))
+    if k == 2:
+        return _two_color(rows, n)
+
+    clique = _greedy_clique(rows, n)
+    if len(clique) > k:
+        return None
+
+    full = (1 << k) - 1
+    dom = [full] * n
+    color = [-1] * n
+    degs = [r.bit_count() for r in rows]
+    state = {"uncolored": n, "used": 0}
+
+    trail = []  # (vertex, previous domain)
+    assigned_stack = []
+
+    def place(v, c):
+        queue = [(v, c)]
+        while queue:
+            w, cw = queue.pop()
+            if color[w] >= 0:
+                if color[w] != cw:
+                    return False
+                continue
+            color[w] = cw
+            assigned_stack.append(w)
+            state["uncolored"] -= 1
+            state["used"] |= 1 << cw
+            for u in bits(rows[w]):
+                if color[u] >= 0:
+                    if color[u] == cw:
+                        return False
+                    continue
+                d = dom[u]
+                if d & (1 << cw):
+                    trail.append((u, d))
+                    d &= ~(1 << cw)
+                    dom[u] = d
+                    if d == 0:
+                        return False
+                    if d & (d - 1) == 0:
+                        queue.append((u, d.bit_length() - 1))
+        return True
+
+    def dfs():
+        if state["uncolored"] == 0:
+            return True
+        if not budget.spend():
+            raise SearchBudgetExceeded(f"{k}-colourability search budget exhausted")
+        v = -1
+        best_key = None
+        for u in range(n):
+            if color[u] >= 0:
+                continue
+            key = (dom[u].bit_count(), -degs[u], u)
+            if best_key is None or key < best_key:
+                best_key = key
+                v = u
+        used = state["used"]
+        fresh = ~used & (used + 1) if used != full else 0
+        allowed = dom[v] & (used | fresh)
+        for c in bits(allowed):
+            tmark = len(trail)
+            amark = len(assigned_stack)
+            umark = state["used"]
+            if place(v, c) and dfs():
+                return True
+            while len(trail) > tmark:
+                u, d = trail.pop()
+                dom[u] = d
+            while len(assigned_stack) > amark:
+                w = assigned_stack.pop()
+                color[w] = -1
+                state["uncolored"] += 1
+            state["used"] = umark
+        return False
+
+    for i, v in enumerate(clique):
+        if not place(v, i):
+            return None
+    if state["uncolored"] and not dfs():
+        return None
+    return color
+
+
+def _colourings_agree(rows, n, k):
+    """Both searches give the same colouring (or None) and spend the same
+    number of nodes, with and without a limit one node short."""
+    want_budget, got_budget = _Budget(None), _Budget(None)
+    want = _trail_k_color(rows, n, k, want_budget)
+    got = _k_color(rows, n, k, got_budget)
+    assert got == want and got_budget.spent == want_budget.spent, (rows, k)
+    spent = want_budget.spent
+    if spent:
+        with pytest.raises(SearchBudgetExceeded) as err:
+            _k_color(rows, n, k, _Budget(spent - 1))
+        assert err.value.nodes == spent - 1, (rows, k)
+
+
+def test_k_color_equals_trail_oracle_on_small_orders():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for k in range(n + 1):
+                _colourings_agree(g.rows, n, k)
+
+
+def test_k_color_equals_trail_oracle_on_random_graphs():
+    # dense random graphs, and random maximal triangle-free graphs, whose
+    # 3- and 4-colouring searches branch deepest
+    rng = random.Random(2718)
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        p = rng.choice([0.2, 0.35, 0.5, 0.7])
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        for k in range(7):
+            _colourings_agree(g.rows, n, k)
+    for _ in range(200):
+        n = rng.randint(8, 16)
+        rows = [0] * n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            if not rows[u] & rows[v]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        for k in (3, 4):
+            _colourings_agree(rows, n, k)
+
+
+def test_gadget_search_tree_is_pinned():
+    # chromatic_number on the triangle-free chi = 5 gadget spends 18,262
+    # nodes, over k = 3 and k = 4; one node fewer is a budget trip
+    g = trianglefree_5chromatic()
+    assert chromatic_number(g, node_budget=18_262)[0] == 5
+    with pytest.raises(SearchBudgetExceeded) as err:
+        chromatic_number(g, node_budget=18_261)
+    assert err.value.nodes == 18_261
+    assert (err.value.lower, err.value.upper) == (4, 5)
 
 
 def test_aes_peel_balanced_bipartite():

@@ -43,6 +43,13 @@ def test_rejects_k4():
     with pytest.raises(CliquePresentError) as err:
         extract_tripartite(complete_graph(4))
     assert len(err.value.witness) == 4
+    # neither saturated nor K4-free: the K4 is reported, with the first one
+    g = Graph(7, [(a, b) for a in range(1, 6) for b in range(a + 1, 6)
+                  if (a, b) != (1, 2)] + [(0, 6)])
+    with pytest.raises(CliquePresentError) as err:
+        extract_tripartite(g)
+    assert str(err.value) == "graph contains a K_4"
+    assert err.value.witness == (1, 3, 4, 5)
 
 
 def test_validate_catches_bad_certificates():
