@@ -23,11 +23,7 @@ from .deficiency import (
     deficiency,
     optimal_blowup,
 )
-from .enumeration import (
-    EnumerationLimitError,
-    _enumerate_resumable,
-    enumerate_graphs,
-)
+from .enumeration import EnumerationLimitError, enumerate_graphs
 from .graph import (
     Graph,
     GraphFormatError,
@@ -57,7 +53,10 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
             lines = fh.readlines()
     else:
         lines = sys.stdin.readlines()
-    return read_graph6_lines(lines)
+    graphs = read_graph6_lines(lines)
+    if not graphs:
+        raise ValueError("no graph6 input")
+    return graphs
 
 
 def _emit_graphs(args: argparse.Namespace, graphs: list[Graph],
@@ -154,11 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     q = _filter_q(args)
     t0 = time.perf_counter()
-    if args.resume:
-        graphs = _enumerate_resumable(args.n, q, args.resume)
-    else:
-        graphs = enumerate_graphs(args.n, q)
-    _emit_graphs(args, graphs, "enumerate", t0)
+    _emit_graphs(args, enumerate_graphs(args.n, q), "enumerate", t0)
     return EXIT_OK
 
 
@@ -232,6 +227,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:  # lemmas; argparse restricts the choices
         report = lemma_suite()
     _emit_json(args, report, t0)
+    search = report.get("search")
+    if search and not search["complete"]:
+        print(f"resource limit: --budget {args.budget} ran out after "
+              f"{search['examined']} graphs", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="none",
                    choices=[*_FILTERS, "kr1-free"])
     p.add_argument("--r", type=int)
-    p.add_argument("--resume", help="state file for checkpoint/resume")
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -302,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="order or range lo..hi")
     p.add_argument("--k", type=int)
     p.add_argument("--max-order", type=int)
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=int,
+                   help="most graphs the lambda search examines")
     common(p)
     p.set_defaults(func=cmd_verify)
     return top

@@ -95,6 +95,8 @@ def deficiency_search(r: int, k: int, max_order: int,
     ``node_budget`` caps the number of enumerated graphs examined; an
     exhausted budget yields a result flagged incomplete.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, not {node_budget}")
     best: int | None = None
     minimal_order: int | None = None
     witnesses: list[str] = []

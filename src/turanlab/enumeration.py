@@ -10,20 +10,16 @@ needed and each parent is handled on its own.  Each level contains exactly
 one canonical representative per isomorphism class, sorted canonically.
 
 Levels are cached per filter so repeated queries (the verification
-commands share the triangle-free levels, for instance) pay once.  A
-checkpoint file carries that cache between runs, is rewritten after every
-finished order and is checked on load.
+commands share the triangle-free levels, for instance) pay once.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Sequence
 
 from .canon import canonical_certificate_rows
-from .graph import Graph, _relabel_rows, bits, from_graph6, to_graph6
-from .invariants import _best_clique, find_clique
+from .graph import Graph, _relabel_rows, bits
+from .invariants import _best_clique
 
 
 class EnumerationLimitError(ValueError):
@@ -128,7 +124,13 @@ def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
     return out
 
 
-def _check_request(max_order: int, q: int | None) -> None:
+def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[list[Graph]]:
+    """Lists of all non-isomorphic (K_q-free) graphs for orders 1..max_order.
+
+    ``levels[i]`` holds order i+1.  Unrestricted enumeration is capped at
+    order 11 by contract; hereditary clique filters have no hard cap.
+    """
+    q = forbidden_clique
     if q is not None and q < 2:
         raise ValueError("forbidden clique size must be >= 2")
     if max_order < 1:
@@ -138,16 +140,6 @@ def _check_request(max_order: int, q: int | None) -> None:
             f"unrestricted enumeration is limited to order {UNRESTRICTED_MAX}; "
             f"order {max_order} has {_class_count_estimate(max_order)} classes"
         )
-
-
-def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[list[Graph]]:
-    """Lists of all non-isomorphic (K_q-free) graphs for orders 1..max_order.
-
-    ``levels[i]`` holds order i+1.  Unrestricted enumeration is capped at
-    order 11 by contract; hereditary clique filters have no hard cap.
-    """
-    q = forbidden_clique
-    _check_request(max_order, q)
     levels = _LEVELS.setdefault(q, [])
     if not levels:
         levels.append([Graph(1)])
@@ -162,78 +154,3 @@ def enumerate_graphs(n: int, forbidden_clique: int | None = None) -> list[Graph]
     if n == 0:
         return [Graph(0)]
     return levels_up_to(n, forbidden_clique)[n - 1]
-
-
-def _check_levels(levels: list[list[Graph]], q: int | None, path: str) -> None:
-    """Raise ValueError unless ``levels`` can be this module's levels for
-    the filter: order 1 is [K1]; every graph has its level's order, is
-    canonical and passes the filter; every level is strictly increasing;
-    the canonical-deletion parent of every graph is one order down; and
-    every graph plus an isolated vertex is one order up.  The generator
-    compares children with the parent rows, so a level failing these
-    would silently lose graphs of every later order."""
-    if levels and [g.rows for g in levels[0]] != [(0,)]:
-        raise ValueError(f"resume file {path}: order 1 must hold only K1")
-    below: set[tuple[int, ...]] = set()
-    for i, level in enumerate(levels, 1):
-        here: set[tuple[int, ...]] = set()
-        # m(G) is an isolated vertex when G has one, so the parents of the
-        # graphs with an isolated vertex are the F whose F + K1 is here
-        lifted: set[tuple[int, ...]] = set()
-        last: tuple[int, ...] | None = None
-        for g in level:
-            rows = g.rows
-            bad = ""
-            if g.n != i:
-                bad = f"has order {g.n}"
-            elif last is not None and rows <= last:
-                bad = "is out of order or repeated"
-            elif canonical_certificate_rows(rows, i) != rows:
-                bad = "is not canonical"
-            elif q is not None and find_clique(g, q) is not None:
-                bad = f"contains K{q}"
-            elif i > 1:
-                parent = _canonical_parent(rows)
-                if parent not in below:
-                    bad = "has its canonical-deletion parent missing one order down"
-                elif 0 in rows:
-                    lifted.add(parent)
-            if bad:
-                raise ValueError(f"resume file {path}: order-{i} graph {to_graph6(g)} {bad}")
-            here.add(rows)
-            last = rows
-        if i > 1 and lifted != below:
-            raise ValueError(f"resume file {path}: order {i} lacks a graph of order "
-                             f"{i - 1} plus an isolated vertex")
-        below = here
-
-
-def _enumerate_resumable(n: int, q: int | None, path: str) -> list[Graph]:
-    """``enumerate_graphs(n, q)`` continuing from the checkpoint at
-    ``path``, which is checked on load and replaced atomically after each
-    order it lacked."""
-    key = q if q is not None else "none"
-    saved = 0
-    if os.path.exists(path):
-        with open(path) as fh:
-            state = json.load(fh)
-        if not isinstance(state, dict) or not isinstance(state.get("levels"), list):
-            raise ValueError(f"resume file {path} is not a turanlab state")
-        if state.get("filter") != key:
-            raise ValueError(f"resume file {path} was built with a different filter")
-        levels = [[from_graph6(s) for s in level] for level in state["levels"]]
-        _check_levels(levels, q, path)
-        saved = len(levels)
-        if saved:
-            _LEVELS[q] = levels
-    if n > 0:
-        _check_request(n, q)
-    # write every order the file lacks, even one already cached in-process
-    for order in range(saved + 1, n + 1):
-        levels = levels_up_to(order, q)
-        state = {"schema": 1, "filter": key,
-                 "levels": [[to_graph6(g) for g in level] for level in levels]}
-        with open(path + ".tmp", "w") as fh:
-            json.dump(state, fh)
-        os.replace(path + ".tmp", path)
-    return enumerate_graphs(n, q)

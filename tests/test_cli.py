@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from turanlab import cli, enumeration
+from turanlab import cli
 from turanlab.cli import main
-from turanlab.graph import Graph, from_graph6, to_graph6
+from turanlab.graph import from_graph6
 
 
 def run_cli(args, stdin_text=""):
@@ -52,105 +52,13 @@ def test_enumerate_triangle_free_five():
     assert len(lines) == 14
 
 
-def test_enumerate_resume_roundtrip(tmp_path):
+def test_resume_is_an_unknown_option(tmp_path):
     state = tmp_path / "state.json"
-    code, first, _ = run_cli(["enumerate", "--n", "5",
-                              "--filter", "triangle-free",
-                              "--resume", str(state)])
-    assert code == 0 and state.exists()
-    payload = json.loads(state.read_text())
-    assert payload["filter"] == 3 and len(payload["levels"]) == 5
-    code, second, _ = run_cli(["enumerate", "--n", "6",
-                               "--filter", "triangle-free",
-                               "--resume", str(state)])
-    assert code == 0
-    assert len(second.strip().splitlines()) == 38
-    assert len(json.loads(state.read_text())["levels"]) == 6
-
-
-def test_enumerate_resume_checkpoints_every_finished_order(tmp_path, monkeypatch):
-    # K8-free: a filter no other test caches in this process
-    state = tmp_path / "state.json"
-    on_disk = []
-    build = enumeration._next_level
-
-    def next_level(parents, q):
-        on_disk.append(len(json.loads(state.read_text())["levels"]))
-        return build(parents, q)
-
-    monkeypatch.setattr(enumeration, "_next_level", next_level)
-    enumeration._LEVELS.pop(8, None)
-    try:
-        assert main(["enumerate", "--n", "5", "--filter", "kr1-free", "--r", "7",
-                     "--resume", str(state), "--out", str(tmp_path / "out")]) == 0
-    finally:
-        enumeration._LEVELS.pop(8, None)
-    assert on_disk == [1, 2, 3, 4]
-    assert len(json.loads(state.read_text())["levels"]) == 5
-    # the temporary file of each atomic write was renamed into place
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "state.json"]
-
-
-def test_enumerate_resume_writes_orders_already_cached(tmp_path):
-    # in-process, a warm level cache must not keep the checkpoint from disk
-    state = tmp_path / "state.json"
-    enumeration.levels_up_to(4, 3)
-    assert main(["enumerate", "--n", "4", "--filter", "triangle-free",
-                 "--resume", str(state), "--out", str(tmp_path / "out")]) == 0
-    assert len(json.loads(state.read_text())["levels"]) == 4
-
-
-def test_enumerate_resume_rejects_another_filters_state(tmp_path):
-    state = tmp_path / "state.json"
-    run_cli(["enumerate", "--n", "3", "--filter", "triangle-free",
-             "--resume", str(state)])
-    code, _, err = run_cli(["enumerate", "--n", "3", "--resume", str(state)])
-    assert code == 2
-    assert "different filter" in err
-
-
-def test_enumerate_resume_rejects_an_incomplete_level(tmp_path):
-    # the order-3 level holds only the empty graph: K2 + K1 and P3 are gone
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"schema": 1, "filter": 3,
-                                 "levels": [["@"], ["A?", "A_"], ["B?"]]}))
     code, out, err = run_cli(["enumerate", "--n", "4", "--filter", "triangle-free",
                               "--resume", str(state)])
     assert code == 2 and out == ""
-    assert "plus an isolated vertex" in err and "Traceback" not in err
-
-
-def test_enumerate_resume_rejects_a_non_canonical_graph(tmp_path):
-    state = tmp_path / "state.json"
-    assert main(["enumerate", "--n", "4", "--filter", "triangle-free",
-                 "--resume", str(state), "--out", str(tmp_path / "out")]) == 0
-    payload = json.loads(state.read_text())
-    # the path on 4 vertices, labelled 0-2-1-3 instead of canonically
-    g = from_graph6(payload["levels"][3][4])
-    assert g.edge_count == 3 and sorted(g.degrees()) == [1, 1, 2, 2]
-    forged = to_graph6(Graph(4, [(0, 2), (2, 1), (1, 3)]))
-    assert forged != payload["levels"][3][4]
-    payload["levels"][3][4] = forged
-    state.write_text(json.dumps(payload))
-    code, _, err = run_cli(["enumerate", "--n", "5", "--filter", "triangle-free",
-                            "--resume", str(state)])
-    assert code == 2
-    assert "is not canonical" in err
-
-
-@pytest.mark.parametrize("levels,reason", [
-    ([["A?"]], "order 1 must hold only K1"),
-    ([["@"], ["A_", "A?"]], "out of order"),
-    ([["@"], ["A?", "A_"], ["Bw"]], "contains K3"),
-    ([["@"], ["A?"], ["B?", "BW"]], "parent missing"),
-])
-def test_enumerate_resume_rejects_forged_levels(tmp_path, levels, reason):
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"schema": 1, "filter": 3, "levels": levels}))
-    code, _, err = run_cli(["enumerate", "--n", "4", "--filter", "triangle-free",
-                            "--resume", str(state)])
-    assert code == 2
-    assert reason in err
+    assert "unrecognized arguments: --resume" in err
+    assert not state.exists()
 
 
 def test_enumerate_infeasible_is_resource_error():
@@ -230,6 +138,35 @@ def test_reports_byte_stable():
 def test_exit_code_on_usage_error():
     code, _, err = run_cli(["analyze"], stdin_text="notagraph6\x01\n")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["extract-tripartite"],
+    ["saturate", "--q", "3"],
+    ["blowup-opt", "--n", "10"],
+])
+def test_empty_graph_input_is_usage_error(argv):
+    code, out, err = run_cli(argv, stdin_text="")
+    assert code == 2 and out == ""
+    assert err == "error: no graph6 input\n"
+
+
+def test_exhausted_lambda_budget_is_resource_error():
+    code, out, err = run_cli(["verify", "lambda", "--r", "2", "--k", "4",
+                              "--max-order", "6", "--budget", "3"])
+    assert code == 2
+    search = json.loads(out)["search"]
+    assert search["complete"] is False and search["examined"] == 3
+    assert json.loads(out)["ok"] is False
+    assert err.startswith("resource limit: --budget 3")
+
+
+def test_negative_lambda_budget_is_usage_error():
+    code, out, err = run_cli(["verify", "lambda", "--r", "2", "--k", "4",
+                              "--max-order", "6", "--budget", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: node budget must be >= 0")
 
 
 @pytest.mark.parametrize("argv", [

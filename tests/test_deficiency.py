@@ -107,6 +107,11 @@ def test_search_budget_flagging():
     assert res.examined == 3
 
 
+def test_search_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        deficiency_search(2, 3, 6, node_budget=-1)
+
+
 def test_optimal_blowup_complete_graph():
     for n in (3, 7, 10):
         w, e = optimal_blowup(complete_graph(3), n)
