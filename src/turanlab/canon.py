@@ -10,6 +10,14 @@ Two prunings keep the search tree small without external dependencies:
 * components are canonicalised independently and then sorted, so unions
   of many isomorphic components never multiply the search.
 
+Refinement is incremental (McKay & Piperno, "Practical graph isomorphism,
+II", arXiv 1301.1493): each pass counts neighbours only into the cells
+that the previous pass split, yet yields the same ordered partitions as
+counting into every cell (see ``_refine``), so the search tree, its
+leaves and the certificates do not depend on the shortcut.  There is no
+one-splitter queue as in nauty: it would reorder the cells and change
+every certificate.
+
 The certificate of a labelling is the tuple of relabelled adjacency rows
 (``graph._relabel_rows``, which also cuts out each component);
 the canonical labelling is the one with the lexicographically smallest
@@ -23,37 +31,59 @@ from typing import Sequence
 from .graph import Graph, _relabel_rows, bits
 
 
-def _refine(cells: list[list[int]], rows: Sequence[int]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbour counts into every
-    cell until stable.  Sub-cells are ordered by their count signature,
-    which keeps the cell order isomorphism-invariant."""
-    while True:
-        masks = []
-        for c in cells:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
+def _refine(cells: list[list[int]], rows: Sequence[int],
+            fresh: list[int]) -> list[list[int]]:
+    """Equitable refinement of the ordered partition ``cells``: split each
+    cell by its vertices' neighbour counts into the masks ``fresh`` until
+    no cell splits.  Sub-cells are ordered by their count signature, which
+    keeps the cell order isomorphism-invariant.
+
+    ``fresh`` lists, in cell order, the only cells whose counts can still
+    split anything: the whole vertex set at the root, ``[1 << v]`` after
+    individualising v in an equitable partition, and then the pieces of
+    the cells that the last pass split, less the last piece of each.
+    Counts into the other cells are already constant inside every cell,
+    and the last piece's count is the old cell's constant minus the other
+    pieces' counts, so the signatures compare exactly as the tuples of
+    counts into every cell would: the ordered partitions, and with them
+    the search tree and its leaves, are those of refining against every
+    cell on every pass.  A signature packs its counts, each below
+    ``len(rows)``, into fixed-width fields of one integer, most
+    significant first, so integer order is the tuples' lexicographic
+    order."""
+    shift = len(rows).bit_length()
+    while fresh:
         out: list[list[int]] = []
-        split = False
+        split: list[int] = []
         for c in cells:
             if len(c) == 1:
                 out.append(c)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in c:
-                rv = rows[v]
-                sig = tuple((rv & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+            groups: dict[int, list[int]] = {}
+            if len(fresh) == 1:
+                m = fresh[0]
+                for v in c:
+                    groups.setdefault((rows[v] & m).bit_count(), []).append(v)
+            else:
+                for v in c:
+                    rv = rows[v]
+                    sig = 0
+                    for m in fresh:
+                        sig = (sig << shift) | (rv & m).bit_count()
+                    groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 out.append(c)
-            else:
-                split = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-        if not split:
-            return out
+                continue
+            pieces = [groups[sig] for sig in sorted(groups)]
+            out.extend(pieces)
+            for piece in pieces[:-1]:
+                m = 0
+                for v in piece:
+                    m |= 1 << v
+                split.append(m)
         cells = out
+        fresh = split
+    return cells
 
 
 def _canon_search(rows: Sequence[int], k: int) -> tuple[int, ...]:
@@ -87,9 +117,9 @@ def _canon_search(rows: Sequence[int], k: int) -> tuple[int, ...]:
         for v in cands:
             rest = [u for u in rest_template if u != v]
             sub = cells[:idx] + [[v], rest] + cells[idx + 1:]
-            rec(_refine(sub, rows))
+            rec(_refine(sub, rows, [1 << v]))
 
-    rec(_refine([list(range(k))], rows))
+    rec(_refine([list(range(k))], rows, [(1 << k) - 1]))
     return tuple(best)
 
 

@@ -222,6 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.what == "lambda":
         if args.k is None:
             raise ValueError("verify lambda requires --k")
+        if args.budget is not None and args.max_order is None:
+            raise ValueError("verify lambda --budget requires --max-order")
         report = deficiency_table(args.r, args.k, max_order=args.max_order,
                                   node_budget=args.budget)
     else:  # lemmas; argparse restricts the choices
@@ -302,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--max-order", type=int)
     p.add_argument("--budget", type=int,
-                   help="most graphs the lambda search examines")
+                   help="most graphs the lambda search examines "
+                        "(needs --max-order)")
     common(p)
     p.set_defaults(func=cmd_verify)
     return top

@@ -1,7 +1,20 @@
+"""Canonical labelling is checked three ways: certificates must agree
+across relabellings (all of them for n <= 6, seeded ones for n = 7, 8),
+must separate non-isomorphic graphs, and must equal, bit for bit, the
+certificates of the full-recompute refinement that ``canon._refine``
+replaced, kept here as ``_full_refine``."""
+
 import itertools
 import random
 
-from turanlab.canon import are_isomorphic, canonical_form, certificate
+from turanlab import canon
+from turanlab.canon import (
+    _refine,
+    are_isomorphic,
+    canonical_certificate_rows,
+    canonical_form,
+    certificate,
+)
 from turanlab.constructions import extremal_graph, groetzsch_graph
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
@@ -16,6 +29,73 @@ from turanlab.graph import (
 def _random_graph(rng, n, p=0.5):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < p])
+
+
+def _full_refine(cells, rows):
+    """The refinement ``canon._refine`` replaced: every pass rebuilds every
+    cell mask and splits every cell by its counts into all cells."""
+    while True:
+        masks = []
+        for c in cells:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            masks.append(m)
+        out = []
+        split = False
+        for c in cells:
+            if len(c) == 1:
+                out.append(c)
+                continue
+            groups = {}
+            for v in c:
+                sig = tuple((rows[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                out.append(c)
+            else:
+                split = True
+                for sig in sorted(groups):
+                    out.append(groups[sig])
+        if not split:
+            return out
+        cells = out
+
+
+def _full_refine_certificates(monkeypatch, graphs):
+    monkeypatch.setattr(canon, "_refine",
+                        lambda cells, rows, fresh: _full_refine(cells, rows))
+    return [canonical_certificate_rows(g.rows, g.n) for g in graphs]
+
+
+def test_refine_equals_full_refine_at_root_and_first_individualisation():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            rows = g.rows
+            root = _refine([list(range(n))], rows, [(1 << n) - 1])
+            assert root == _full_refine([list(range(n))], rows)
+            for idx, cell in enumerate(root):
+                if len(cell) == 1:
+                    continue
+                for v in cell:
+                    sub = root[:idx] + [[v], [u for u in cell if u != v]] \
+                        + root[idx + 1:]
+                    assert _refine(sub, rows, [1 << v]) == \
+                        _full_refine(sub, rows)
+
+
+def test_certificates_equal_full_refine_up_to_order_eight(monkeypatch):
+    graphs = [g for n in range(1, 9) for g in enumerate_graphs(n)]
+    fast = [canonical_certificate_rows(g.rows, g.n) for g in graphs]
+    assert _full_refine_certificates(monkeypatch, graphs) == fast
+
+
+def test_certificates_equal_full_refine_on_random_graphs(monkeypatch):
+    rng = random.Random(2024)
+    graphs = [_random_graph(rng, rng.randrange(9, 17), rng.choice([0.2, 0.5, 0.8]))
+              for _ in range(2000)]
+    fast = [canonical_certificate_rows(g.rows, g.n) for g in graphs]
+    assert _full_refine_certificates(monkeypatch, graphs) == fast
 
 
 def test_relabellings_of_p3_agree():
@@ -41,6 +121,18 @@ def test_certificate_equal_under_all_relabellings():
         for g in enumerate_graphs(n):
             edges = list(g.edges())
             for perm in itertools.permutations(range(n)):
+                h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+                assert certificate(h) == g.rows
+
+
+def test_certificate_equal_under_random_relabellings_orders_seven_eight():
+    rng = random.Random(7)
+    for n in (7, 8):
+        for g in enumerate_graphs(n):
+            edges = list(g.edges())
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
                 h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
                 assert certificate(h) == g.rows
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -167,6 +168,31 @@ def test_negative_lambda_budget_is_usage_error():
                               "--max-order", "6", "--budget", "-1"])
     assert code == 2 and out == ""
     assert err.startswith("error: node budget must be >= 0")
+
+
+def test_lambda_budget_without_max_order_is_usage_error():
+    code, out, err = run_cli(["verify", "lambda", "--r", "2", "--k", "4",
+                              "--budget", "3"])
+    assert code == 2 and out == ""
+    assert err == "error: verify lambda --budget requires --max-order\n"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["enumerate", "--n", "8"],
+     "cdfa08c54d7a3b5786cc4c2d89979a112ec3b1756f402d293db741ff10a8d2e9"),
+    (["enumerate", "--n", "9", "--filter", "triangle-free"],
+     "fc4e0c3d4c619d42f24eafa64ce1cda83bc65e0d3592b61a2b4a082361cc575e"),
+    (["enumerate", "--n", "8", "--filter", "k4-free"],
+     "6ecf2f4a5b3d7023e81d53a7d93365b5473b5ddd68617778beae20c857326e0f"),
+], ids=["all-8", "triangle-free-9", "k4-free-8"])
+def test_enumerate_output_is_byte_stable(argv, digest):
+    # the graph6 streams rest on canonical certificates; a canon change that
+    # is self-consistent but labels differently passes every isomorphism
+    # test and fails here
+    proc = subprocess.run([sys.executable, "-m", "turanlab.cli", *argv],
+                          capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [
