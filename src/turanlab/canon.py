@@ -145,10 +145,9 @@ def _components(rows: Sequence[int], n: int) -> list[int]:
 def canonical_certificate_rows(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Canonical certificate (relabelled adjacency rows) of the graph given
     by ``rows``.  Equal for two graphs iff they are isomorphic."""
-    if n == 0:
-        return ()
     comps = _components(rows, n)
     if len(comps) == 1:
+        # as the loop below gives it, less one identity relabel
         return _canon_search(rows, n)
     pieces = []
     for comp in comps:

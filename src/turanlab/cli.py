@@ -61,7 +61,7 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
 
 def _emit_graphs(args: argparse.Namespace, graphs: list[Graph],
                  command: str, t0: float) -> None:
-    if getattr(args, "format", "graph6") == "json":
+    if args.format == "json":
         _emit_json(args, {"schema": SCHEMA, "command": command,
                           "count": len(graphs),
                           "graphs": [to_graph6(g) for g in graphs],
@@ -244,9 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "clique-free extremal graph theory.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graphs_in: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, graphs_in: bool = False,
+               graphs_out: bool = False) -> None:
         p.add_argument("--out", dest="out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["graph6", "json"], default="graph6")
+        if graphs_out:
+            p.add_argument("--format", choices=["graph6", "json"], default="graph6")
         p.add_argument("--timing", action="store_true",
                        help="include runtime_ms in JSON reports "
                             "(off by default to keep reports byte-stable)")
@@ -264,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["standard", "prime"], default="standard")
     p.add_argument("--no-empty-set", action="store_true",
                    help="exclude the empty independent set in tf-chi5")
-    common(p)
+    common(p, graphs_out=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="invariant report for input graphs")
@@ -278,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="none",
                    choices=[*_FILTERS, "kr1-free"])
     p.add_argument("--r", type=int)
-    common(p)
+    common(p, graphs_out=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("saturate", help="greedy clique saturation")
     p.add_argument("--q", type=int, required=True)
-    common(p, graphs_in=True)
+    common(p, graphs_in=True, graphs_out=True)
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("blowup-opt", help="optimal blow-up weights")

@@ -46,9 +46,6 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
     the graph K_q-free, i.e. S induces no K_{q-1}.  Includes the empty set."""
     if q is None:
         return list(range(1 << k))
-    if q == 2:
-        # forbidding K_2 means no edges ever: only the empty attachment
-        return [0]
     out = [0]
     need = q - 2  # a K_{q-1} through u inside S means a K_{q-2} in S & N(u)
 
@@ -151,6 +148,6 @@ def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[li
 def enumerate_graphs(n: int, forbidden_clique: int | None = None) -> list[Graph]:
     """All non-isomorphic graphs of order exactly ``n`` passing the filter,
     one canonical representative each, in canonical order."""
-    if n == 0:
+    if n == 0:  # the levels start at order 1
         return [Graph(0)]
     return levels_up_to(n, forbidden_clique)[n - 1]

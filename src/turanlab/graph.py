@@ -100,9 +100,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.rows[v]))
-
     @property
     def edge_count(self) -> int:
         if self._m < 0:

@@ -101,9 +101,6 @@ def _color_sort(rows: Sequence[int], pmask: int) -> list[tuple[int, int]]:
 
 def max_clique(g: Graph) -> tuple[int, ...]:
     """A maximum clique, deterministic for a given labelling."""
-    n = g.n
-    if n == 0:
-        return ()
     rows = g.rows
     best: list[int] = []
 
@@ -121,7 +118,7 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             r.pop()
             pmask &= ~(1 << v)
 
-    expand([], (1 << n) - 1)
+    expand([], (1 << g.n) - 1)
     return tuple(sorted(best))
 
 
@@ -146,7 +143,8 @@ def _best_clique(rows: Sequence[int], mask: int, size: int,
         return () if size == 0 else None
     if weight is None:
         if size == 2:
-            # the lowest vertex with a later neighbour, and its lowest one
+            # the lowest vertex with a later neighbour, and its lowest one:
+            # the loop below finds the same edge, measurably slower
             while mask:
                 low = mask & -mask
                 mask ^= low
@@ -205,8 +203,6 @@ def assert_clique_free(g: Graph, q: int) -> None:
 def _greedy_clique(rows: Sequence[int], n: int) -> list[int]:
     """Greedy clique grown from the highest-degree vertex; used only to
     seed colour symmetry breaking."""
-    if n == 0:
-        return []
     degs = [r.bit_count() for r in rows]
     v = max(range(n), key=lambda u: (degs[u], -u))
     clique = [v]
@@ -254,14 +250,12 @@ class _Budget:
 
 def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] | None:
     """A proper colouring with colours 0..k-1, or None if impossible."""
-    if n == 0:
-        return []
-    if k <= 0:
-        return None
-    if k == 1:
-        return [0] * n if all(r == 0 for r in rows) else None
+    # the search would pick other witnesses than these two shortcuts: the
+    # identity colouring and _two_color's per-component 2-colourings
     if k >= n:
         return list(range(n))
+    if k <= 0:
+        return None
     if k == 2:
         return _two_color(rows, n)
 
@@ -393,10 +387,6 @@ def is_r_colorable(g: Graph, r: int, node_budget: int | None = None
     """Exact r-colourability with a witness colouring when true."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    if g.n == 0:
-        return True, Coloring((), 0)
-    if r == 0:
-        return False, None
     raw = _k_color(g.rows, g.n, r, _Budget(node_budget))
     if raw is None:
         return False, None
@@ -411,19 +401,14 @@ def chromatic_number(g: Graph, node_budget: int | None = None
     """Exact chromatic number with witness.  With a node budget, an
     exhausted search raises ``SearchBudgetExceeded`` carrying the bounds
     established so far instead of returning a wrong answer."""
-    n = g.n
-    if n == 0:
-        return 0, Coloring((), 0)
     lower, _ = clique_number(g)
     greedy = dsatur_coloring(g)
     upper = greedy.palette
-    if lower == upper:
-        return upper, greedy
     budget = _Budget(node_budget)
     refuted = lower - 1
     for k in range(lower, upper):
         try:
-            raw = _k_color(g.rows, n, k, budget)
+            raw = _k_color(g.rows, g.n, k, budget)
         except SearchBudgetExceeded:
             raise SearchBudgetExceeded(
                 f"chromatic number undecided: in [{refuted + 1}, {upper}]",

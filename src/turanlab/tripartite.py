@@ -83,20 +83,9 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
             missing)
     n = g.n
     peel = aes_peel(g, 3)
-    exceptional = list(peel.removed)
-    parts3 = list(peel.parts)
-    while len(parts3) < 3:
-        parts3.append(())
-    if not exceptional:
-        # already 3-partite; saturation forces it to be complete 3-partite,
-        # so the whole vertex set is the certificate
-        cert = TripartiteCertificate(
-            parts=(tuple(parts3[0]), tuple(parts3[1]), tuple(parts3[2])),
-            order=n)
-        validate_certificate(g, cert)
-        return cert
+    exceptional = peel.removed
     part_of = {}
-    for i, p in enumerate(parts3[:3]):
+    for i, p in enumerate(peel.parts):
         for v in p:
             part_of[v] = i
 
@@ -121,9 +110,9 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
             for u in b_v:
                 large_mids |= 1 << u
 
+    # the core meets the parts only in small neighbourhoods, dropped here
     drop = small_nbhds | large_mids
-    keep = [[u for u in p if not (drop >> u) & 1 and not (core >> u) & 1]
-            for p in parts3[:3]]
+    keep = [[u for u in p if not (drop >> u) & 1] for p in peel.parts]
 
     # bucket the survivors by their attachment to the exceptional core;
     # buckets reaching 2*sqrt((|F|+1)*n) are the ones the argument

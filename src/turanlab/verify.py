@@ -133,17 +133,21 @@ def classify_extremal(r: int, n: int) -> dict:
     }
 
 
+# (r, k) -> built-in gadget, and the established global minimum deficiency it
+# witnesses; a search minimum over a bounded range is never promoted to one
+_GADGETS = {
+    (2, 4): (groetzsch_graph, 3),
+    (3, 5): (k4free_5chromatic, 2),
+    (2, 5): (trianglefree_5chromatic, 6),
+}
+
+
 def _gadget_claims(r: int, k: int) -> dict | None:
     """Verified gadget upper bound for the minimum deficiency, when one of
     the built-in constructions applies."""
-    if (r, k) == (2, 4):
-        g = groetzsch_graph()
-    elif (r, k) == (3, 5):
-        g = k4free_5chromatic()
-    elif (r, k) == (2, 5):
-        g = trianglefree_5chromatic()
-    else:
+    if (r, k) not in _GADGETS:
         return None
+    g = _GADGETS[r, k][0]()
     chi, _ = chromatic_number(g)
     if chi < k:
         raise AssertionError(f"gadget for (r={r}, k={k}) has chromatic number {chi}")
@@ -154,11 +158,6 @@ def _gadget_claims(r: int, k: int) -> dict | None:
         "chromatic_number": chi,
         "deficiency": rep.value,
     }
-
-
-# established global minimum deficiencies witnessed by built-in gadgets;
-# a search minimum over a bounded range is never promoted to one of these
-_REFERENCE_MINIMA = {(2, 4): 3, (3, 5): 2, (2, 5): 6}
 
 
 def deficiency_table(r: int, k: int, max_order: int | None = None,
@@ -176,7 +175,7 @@ def deficiency_table(r: int, k: int, max_order: int | None = None,
         "k": k,
         "lower_bound": lower,
         "gadget": gadget,
-        "reference_value": _REFERENCE_MINIMA.get((r, k)),
+        "reference_value": _GADGETS[r, k][1] if gadget else None,
     }
     upper = gadget["deficiency"] if gadget else None
     ok = True
@@ -203,11 +202,8 @@ def deficiency_table(r: int, k: int, max_order: int | None = None,
     result["pinched"] = upper is not None and upper == lower
     result["global_value"] = upper if result["pinched"] else None
     ref = result["reference_value"]
-    if ref is not None:
-        if upper is not None:
-            ok = ok and upper == ref
-        if result["pinched"]:
-            ok = ok and result["global_value"] == ref
+    if ref is not None:  # then a gadget set upper
+        ok = ok and upper == ref
     result["ok"] = ok
     return result
 
@@ -221,8 +217,6 @@ def check_symmetrization_identities(max_order: int = 7) -> dict:
     checked = 0
     for g in _all_graphs_up_to(max_order):
         n = g.n
-        if n < 2:
-            continue
         for u in range(n):
             rest = [x for x in range(n) if x != u]
             minus_u = g.induced(rest)
@@ -247,14 +241,12 @@ def check_turan_pointwise(max_order: int = 7) -> dict:
     reproved pointwise."""
     checked = 0
     for g in _all_graphs_up_to(max_order):
-        if g.n == 0:
-            continue
         w = clique_number(g)[0]
         reduced, _ = zykov_reduce(g)
-        if not (g.edge_count <= reduced.edge_count <= turan_number(g.n, max(w, 1))):
+        if not (g.edge_count <= reduced.edge_count <= turan_number(g.n, w)):
             return _fail("turan pointwise", g, (w,))
         blocks = twin_classes(reduced).blocks
-        if len(blocks) > max(w, 1):
+        if len(blocks) > w:
             return _fail("class count exceeds clique number", g, (w,))
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
@@ -335,13 +327,13 @@ def _fail(name: str, g: Graph, extra: tuple) -> dict:
             "detail": list(extra)}
 
 
-def lemma_suite(symmetrization_order: int = 7, degree_order: int = 9) -> dict:
+def lemma_suite() -> dict:
     checks = [
-        check_symmetrization_identities(symmetrization_order),
-        check_turan_pointwise(symmetrization_order),
-        check_min_degree_bound(degree_order),
-        check_small_window_colorable(degree_order),
-        check_trifree_tripartite_bound(2),
+        check_symmetrization_identities(),
+        check_turan_pointwise(),
+        check_min_degree_bound(),
+        check_small_window_colorable(),
+        check_trifree_tripartite_bound(),
     ]
     return {
         "schema": SCHEMA,

@@ -156,6 +156,7 @@ def test_isomorphism_examples():
     assert are_isomorphic(complete_graph(3), cycle_graph(3))
     assert not are_isomorphic(path_graph(4), Graph(4, [(0, 1), (0, 2), (0, 3)]))
     assert are_isomorphic(extremal_graph(5, 2), cycle_graph(5))
+    assert certificate(Graph(0)) == ()
 
 
 def test_symmetric_families():

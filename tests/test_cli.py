@@ -62,6 +62,19 @@ def test_resume_is_an_unknown_option(tmp_path):
     assert not state.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["blowup-opt", "--n", "10"],
+    ["extract-tripartite"],
+    ["verify", "thm1", "--r", "2", "--n", "5"],
+])
+def test_format_is_unknown_to_report_commands(argv):
+    # --format belongs only to the commands that emit graphs
+    code, out, err = run_cli([*argv, "--format", "graph6"], stdin_text="Bw\n")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format" in err
+
+
 def test_enumerate_infeasible_is_resource_error():
     code, _, err = run_cli(["enumerate", "--n", "12"])
     assert code == 2

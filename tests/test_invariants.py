@@ -21,6 +21,7 @@ from turanlab.graph import (
 )
 from turanlab.invariants import (
     CliquePresentError,
+    Coloring,
     SearchBudgetExceeded,
     _Budget,
     _greedy_clique,
@@ -44,6 +45,7 @@ def test_clique_number_examples():
     assert clique_number(complete_graph(5))[0] == 5
     assert clique_number(groetzsch_graph())[0] == 2
     assert clique_number(complete_multipartite([4, 3, 3]))[0] == 3
+    assert clique_number(Graph(0)) == (0, ())
 
 
 def test_clique_witness_is_clique():
@@ -88,6 +90,9 @@ def test_chromatic_examples():
     assert chromatic_number(cycle_graph(5))[0] == 3
     assert chromatic_number(groetzsch_graph())[0] == 4
     assert chromatic_number(k4free_5chromatic())[0] == 5
+    # no vertex or no edge: the general search answers these
+    assert chromatic_number(Graph(0)) == (0, Coloring((), 0))
+    assert chromatic_number(empty_graph(3)) == (1, Coloring((0, 0, 0), 1))
 
 
 def test_chromatic_witness_proper():
@@ -105,6 +110,8 @@ def test_r_colorable_examples():
     assert is_r_colorable(empty_graph(5), 1)[0]
     assert not is_r_colorable(complete_graph(2), 1)[0]
     assert is_r_colorable(empty_graph(0), 0)[0]
+    assert is_r_colorable(empty_graph(3), 0) == (False, None)
+    assert is_r_colorable(Graph(0), 2) == (True, Coloring((), 0))
 
 
 def test_chi_at_least_omega_small_orders():

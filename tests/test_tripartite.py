@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from turanlab.constructions import sat_non_blowup, turan_number
-from turanlab.graph import Graph, bits, complete_multipartite
+from turanlab.graph import Graph, bits, complete_graph, complete_multipartite
 from turanlab.invariants import CliquePresentError, is_clique_free
 from turanlab.tripartite import (
     CertificateError,
@@ -18,6 +18,17 @@ def test_full_cover_on_balanced_multipartite():
     cert = extract_tripartite(complete_multipartite([4, 4, 4]))
     assert cert.fraction == 1
     assert sorted(len(p) for p in cert.parts) == [4, 4, 4]
+    # with no exceptional vertex each colour class is one bucket, and it
+    # lands in its own slot, empty slots included
+    for g, parts in [
+        (Graph(0), ((), (), ())),
+        (complete_graph(1), ((0,), (), ())),
+        (complete_graph(2), ((0,), (1,), ())),
+        (complete_graph(3), ((0,), (1,), (2,))),
+        (complete_multipartite([2, 3, 4]), ((0, 1), (2, 3, 4), (5, 6, 7, 8))),
+        (complete_multipartite([3, 1, 2]), ((0, 1, 2), (3,), (4, 5))),
+    ]:
+        assert extract_tripartite(g).parts == parts, g.rows
 
 
 def test_gadget_graph_extraction():
@@ -38,8 +49,6 @@ def test_rejects_non_saturated():
 
 
 def test_rejects_k4():
-    from turanlab.graph import complete_graph
-
     with pytest.raises(CliquePresentError) as err:
         extract_tripartite(complete_graph(4))
     assert len(err.value.witness) == 4
