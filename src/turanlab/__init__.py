@@ -22,7 +22,12 @@ from .deficiency import (
     extremal_size_estimate,
     optimal_blowup,
 )
-from .enumeration import EnumerationLimitError, enumerate_graphs, levels_up_to
+from .enumeration import (
+    EnumerationLimitError,
+    EnumerationWorkerError,
+    enumerate_graphs,
+    levels_up_to,
+)
 from .graph import (
     Graph,
     GraphFormatError,

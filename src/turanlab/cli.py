@@ -23,7 +23,11 @@ from .deficiency import (
     deficiency,
     optimal_blowup,
 )
-from .enumeration import EnumerationLimitError, enumerate_graphs
+from .enumeration import (
+    EnumerationLimitError,
+    EnumerationWorkerError,
+    enumerate_graphs,
+)
 from .graph import (
     Graph,
     GraphFormatError,
@@ -300,15 +304,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract_tripartite)
 
     p = sub.add_parser("verify", help="theorem verifications")
-    p.add_argument("what", choices=["thm1", "thm2", "lambda", "lemmas"])
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n", help="order or range lo..hi")
-    p.add_argument("--k", type=int)
-    p.add_argument("--max-order", type=int)
-    p.add_argument("--budget", type=int,
+    checks = p.add_subparsers(dest="what", required=True)
+    # each check takes only the options it reads
+    for what in ("thm1", "thm2"):
+        c = checks.add_parser(what)
+        c.add_argument("--r", type=int, default=2)
+        c.add_argument("--n", help="order or range lo..hi")
+        common(c)
+    c = checks.add_parser("lambda")
+    c.add_argument("--r", type=int, default=2)
+    c.add_argument("--k", type=int)
+    c.add_argument("--max-order", type=int)
+    c.add_argument("--budget", type=int,
                    help="most graphs the lambda search examines "
                         "(needs --max-order)")
-    common(p)
+    common(c)
+    common(checks.add_parser("lemmas"))
     p.set_defaults(func=cmd_verify)
     return top
 
@@ -316,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.timing and getattr(args, "format", "json") != "json":
+            raise ValueError("--timing requires --format json")
         return args.func(args)
     except CertificateError as exc:
         print(f"certificate validation failed: {exc} "
@@ -331,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationLimitError, SearchBudgetExceeded) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, ValueError) as exc:
+    except (GraphFormatError, ValueError, EnumerationWorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,13 +9,21 @@ least (degree, sorted neighbour degrees), so no set of every form seen is
 needed and each parent is handled on its own.  Each level contains exactly
 one canonical representative per isomorphism class, sorted canonically.
 
+Since parents are independent, a level with 128 or more parents is built
+by forked workers: one per usable core, with at least 64 parents each,
+worker i of w taking every w-th parent from the i-th.  Their certificates
+are merged and sorted, so the level is the same for any worker count.
+
 Levels are cached per filter so repeated queries (the verification
 commands share the triangle-free levels, for instance) pay once.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import marshal
+import os
+import sys
+from typing import BinaryIO, Sequence
 
 from .canon import canonical_certificate_rows
 from .graph import Graph, _relabel_rows, bits
@@ -26,7 +34,18 @@ class EnumerationLimitError(ValueError):
     """Raised for enumeration requests that are infeasible by contract."""
 
 
+class EnumerationWorkerError(RuntimeError):
+    """Raised when a forked worker building a level fails or cannot start."""
+
+
 UNRESTRICTED_MAX = 11
+
+# a level is shared out over forked workers when each gets this many parents
+_PARENTS_PER_WORKER = 64
+# certificates per message from a worker: one message of a whole result
+# leaves a large freed block resident (+0.2 MB peak RSS at triangle-free
+# order 10), many small ones do not
+_FRAME = 512
 
 # filter key: None for all graphs, q >= 3 for K_q-free
 _LEVELS: dict[int | None, list[list[Graph]]] = {}
@@ -73,52 +92,151 @@ def _canonical_parent(cert: Sequence[int]) -> tuple[int, ...]:
     return canonical_certificate_rows(_relabel_rows(cert, rest), len(rest))
 
 
-def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
-    """Canonical deletion: a child of ``parent`` is kept when its
-    certificate minus m(child) is ``parent`` again, which needs the new
-    vertex k to have the least invariant.  Only children where it has are
-    labelled, and only ties between several such vertices pay the labelling
-    of the deletion.  The class of G comes only from the class of G - m(G),
-    which is one parent, so one set per parent removes the repeats that
-    automorphisms of the parent make."""
-    out: list[Graph] = []
-    for parent in parents:
-        k = parent.n
-        rows = parent.rows
-        deg = [r.bit_count() for r in rows]
-        # at[d]: parent vertices of degree d; under[d]: those of degree < d
-        at = [0] * (k + 1)
-        for v, d in enumerate(deg):
-            at[d] |= 1 << v
-        under = [0] * (k + 1)
-        for d in range(k):
-            under[d + 1] = under[d] | at[d]
-        seen: set[tuple[int, ...]] = set()
-        for smask in _extension_sets(rows, k, q):
-            d = smask.bit_count()
-            # k, of degree d, has least degree: every parent vertex of
-            # degree < d is joined to k, and none of degree < d - 1 is
-            # (index -1 comes only with d = 0, that is smask = 0)
-            if under[d] & ~smask or under[d - 1] & smask:
-                continue
-            child = parent.add_vertex(smask).rows
-            cdeg = [r.bit_count() for r in child]
-            # then it has the least sorted neighbour degrees among the
-            # vertices of degree d
-            key = sorted(cdeg[u] for u in bits(smask))
-            same = (at[d] & ~smask) | (at[d - 1] & smask)
-            others = [sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)]
-            if any(other < key for other in others):
-                continue
-            cert = canonical_certificate_rows(child, k + 1)
-            if cert in seen:
-                continue
-            seen.add(cert)
-            if key in others and _canonical_parent(cert) != rows:
-                continue
-            out.append(Graph.from_rows(cert, check=False))
-    out.sort(key=lambda g: g.rows)
+def _children(parent: Graph, q: int | None) -> list[tuple[int, ...]]:
+    """Certificates of the children of ``parent`` kept by canonical
+    deletion: a child is kept when its certificate minus m(child) is
+    ``parent`` again, which needs the new vertex k to have the least
+    invariant.  Only children where it has are labelled, and only ties
+    between several such vertices pay the labelling of the deletion.  The
+    class of G comes only from the class of G - m(G), which is one parent,
+    so one set per parent removes the repeats that automorphisms of the
+    parent make."""
+    k = parent.n
+    rows = parent.rows
+    deg = [r.bit_count() for r in rows]
+    # at[d]: parent vertices of degree d; under[d]: those of degree < d
+    at = [0] * (k + 1)
+    for v, d in enumerate(deg):
+        at[d] |= 1 << v
+    under = [0] * (k + 1)
+    for d in range(k):
+        under[d + 1] = under[d] | at[d]
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
+    for smask in _extension_sets(rows, k, q):
+        d = smask.bit_count()
+        # k, of degree d, has least degree: every parent vertex of
+        # degree < d is joined to k, and none of degree < d - 1 is
+        # (index -1 comes only with d = 0, that is smask = 0)
+        if under[d] & ~smask or under[d - 1] & smask:
+            continue
+        child = parent.add_vertex(smask).rows
+        cdeg = [r.bit_count() for r in child]
+        # then it has the least sorted neighbour degrees among the
+        # vertices of degree d
+        key = sorted(cdeg[u] for u in bits(smask))
+        same = (at[d] & ~smask) | (at[d - 1] & smask)
+        others = [sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)]
+        if any(other < key for other in others):
+            continue
+        cert = canonical_certificate_rows(child, k + 1)
+        if cert in seen:
+            continue
+        seen.add(cert)
+        if key in others and _canonical_parent(cert) != rows:
+            continue
+        out.append(cert)
     return out
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(parents: int) -> int:
+    """Forked workers for a level of ``parents`` parents, one per usable
+    core and at least _PARENTS_PER_WORKER parents each; 1 means in-process,
+    as it does where there is no fork or where another thread runs, which
+    a forked child would lose mid-step."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    return max(1, min(_usable_cores(), parents // _PARENTS_PER_WORKER))
+
+
+def _work(parents: list[Graph], q: int | None, fd: int) -> int:
+    """Body of a forked worker: write the kept certificates of ``parents``
+    to ``fd`` as length-prefixed marshal frames of at most _FRAME
+    certificates, or its error as one frame holding a string; return the
+    exit status."""
+    try:
+        certs = [c for p in parents for c in _children(p, q)]
+        frames = [certs[i:i + _FRAME] for i in range(0, len(certs), _FRAME)]
+        failed = False
+    except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises
+        frames = [f"{type(exc).__name__}: {exc}"]
+        failed = True
+    with os.fdopen(fd, "wb") as fh:
+        for frame in frames:
+            data = marshal.dumps(frame)
+            fh.write(len(data).to_bytes(4, "little") + data)
+    return int(failed)
+
+
+def _forked_children(parents: list[Graph], q: int | None,
+                     w: int) -> list[tuple[int, ...]]:
+    """The kept certificates of ``parents`` from ``w`` forked workers,
+    worker i taking parents[i::w] and answering through its own pipe.  Any
+    worker that fails fails the level, so it is never short."""
+    workers: list[tuple[int, BinaryIO]] = []
+    try:
+        for i in range(w):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker; os._exit runs none of the
+                # parent's exit handlers and flushes none of its buffers
+                code = 1
+                try:
+                    code = _work(parents[i::w], q, wfd)
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            workers.append((pid, os.fdopen(rfd, "rb")))
+        certs: list[tuple[int, ...]] = []
+        for i in range(w):
+            pid, reader = workers[0]
+            frames = []
+            with reader:
+                while head := reader.read(4):
+                    frames.append(reader.read(int.from_bytes(head, "little")))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if code:
+                detail = (f"ended by signal {-code}" if code < 0 else
+                          marshal.loads(frames[0]) if frames else f"exit status {code}")
+                raise EnumerationWorkerError(
+                    f"enumeration worker {i} of {w} failed: {detail}")
+            for data in frames:
+                certs.extend(marshal.loads(data))
+        return certs
+    except OSError as exc:
+        raise EnumerationWorkerError(f"enumeration workers: {exc}") from exc
+    finally:
+        if workers:  # after a failure: stop and reap the rest
+            import signal
+            for pid, reader in workers:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
+    """The next level by canonical deletion, one parent at a time (see
+    ``_children``), in-process or over forked workers; the level is sorted
+    once merged, so it does not depend on the worker count."""
+    w = _worker_count(len(parents))
+    if w == 1:
+        level: list = [c for p in parents for c in _children(p, q)]
+    else:
+        level = _forked_children(parents, q, w)
+    level.sort()
+    # each graph replaces its certificate, so the level needs one list, not two
+    for i, cert in enumerate(level):
+        level[i] = Graph.from_rows(cert, check=False)
+    return level
 
 
 def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[list[Graph]]:

@@ -75,6 +75,36 @@ def test_format_is_unknown_to_report_commands(argv):
     assert "unrecognized arguments: --format" in err
 
 
+@pytest.mark.parametrize("argv,ignored", [
+    (["verify", "thm1", "--r", "2", "--n", "5", "--max-order", "3", "--k", "9"],
+     "--max-order 3 --k 9"),
+    (["verify", "thm2", "--r", "3", "--n", "7", "--budget", "5"], "--budget 5"),
+    (["verify", "lemmas", "--n", "7", "--r", "5", "--k", "3"], "--n 7 --r 5 --k 3"),
+    (["verify", "lambda", "--r", "2", "--k", "4", "--n", "6"], "--n 6"),
+], ids=["thm1", "thm2", "lemmas", "lambda"])
+def test_verify_rejects_options_its_check_ignores(argv, ignored):
+    # each check takes only the options it reads, so a mistyped command
+    # cannot read as a pass for a check that was never asked for
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {ignored}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "groetzsch"],
+    ["enumerate", "--n", "3"],
+    ["saturate", "--q", "3"],
+], ids=["construct", "enumerate", "saturate"])
+def test_timing_without_json_is_usage_error(argv):
+    # graph6 output has nowhere to put the runtime
+    code, out, err = run_cli([*argv, "--timing"], stdin_text="B?\n")
+    assert code == 2 and out == ""
+    assert err == "error: --timing requires --format json\n"
+    code, out, _ = run_cli([*argv, "--timing", "--format", "json"],
+                           stdin_text="B?\n")
+    assert code == 0 and "runtime_ms" in json.loads(out)
+
+
 def test_enumerate_infeasible_is_resource_error():
     code, _, err = run_cli(["enumerate", "--n", "12"])
     assert code == 2

@@ -4,10 +4,14 @@ bucketed by certificate, with no shared generation machinery.  The
 canonical-deletion generator is also checked level by level against the
 global-seen-set generator it replaced, which labels every child."""
 
+import os
+import signal
+
 import pytest
 
 from turanlab import enumeration
 from turanlab.canon import canonical_certificate_rows, certificate
+from turanlab.cli import main
 from turanlab.enumeration import (
     EnumerationLimitError,
     _extension_sets,
@@ -115,7 +119,9 @@ def test_levels_equal_the_seen_set_generator(q, max_order):
 
 
 def test_triangle_free_order_nine_labels_few_children(monkeypatch):
-    # the seen-set generator labels all 24,149 children of order 9
+    # the seen-set generator labels all 24,149 children of order 9; the
+    # count runs in-process, since labellings in forked workers would not
+    # reach this list
     parents = levels_up_to(8, 3)[-1]
     calls = []
 
@@ -124,6 +130,76 @@ def test_triangle_free_order_nine_labels_few_children(monkeypatch):
         return canonical_certificate_rows(rows, n)
 
     monkeypatch.setattr(enumeration, "canonical_certificate_rows", counting)
-    level = enumeration._next_level(parents, 3)
+    level = [c for p in parents for c in enumeration._children(p, 3)]
     assert len(level) == 1897
-    assert len(calls) <= 5000
+    assert 0 < len(calls) <= 5000
+
+
+def _counting_forks(monkeypatch, cores):
+    """Give the level builder ``cores`` usable cores; return the list of
+    worker pids forked from here on."""
+    forked = []
+    fork = enumeration.os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(enumeration, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(enumeration.os, "fork", counting_fork)
+    return forked
+
+
+@pytest.mark.parametrize("q,max_order", [(None, 8), (3, 10), (4, 8)])
+def test_levels_do_not_depend_on_the_worker_count(monkeypatch, q, max_order):
+    levels = levels_up_to(max_order, q)
+    for cores in (1, 2, 3):
+        # one worker per core, with at least 64 parents each
+        workers = [min(cores, len(level) // 64) for level in levels[:-1]]
+        forked = _counting_forks(monkeypatch, cores)
+        for n in range(2, max_order + 1):
+            level = enumeration._next_level(levels[n - 2], q)
+            assert [g.rows for g in level] == [g.rows for g in levels[n - 1]], \
+                (cores, q, n)
+        assert len(forked) == sum(w for w in workers if w > 1)
+
+
+@pytest.mark.parametrize("how,detail", [
+    ("raise", "ValueError: boom"),
+    ("kill", f"ended by signal {signal.SIGKILL}"),
+], ids=["raise", "kill"])
+def test_a_failing_worker_fails_the_level(monkeypatch, capsys, how, detail):
+    boom = levels_up_to(7)[-1][500]  # a parent of worker 0
+    forked = _counting_forks(monkeypatch, 2)
+    children = enumeration._children
+    here = os.getpid()
+
+    def failing(parent, q):
+        if parent is boom and os.getpid() != here:  # only ever in a worker
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("boom")
+        return children(parent, q)
+
+    monkeypatch.setattr(enumeration, "_children", failing)
+    cached = enumeration._LEVELS[None][:]
+    del enumeration._LEVELS[None][7:]
+    message = f"enumeration worker 0 of 2 failed: {detail}"
+    try:
+        with pytest.raises(enumeration.EnumerationWorkerError) as exc:
+            levels_up_to(8)
+        assert str(exc.value) == message
+        assert len(enumeration._LEVELS[None]) == 7
+        assert main(["enumerate", "--n", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert len(enumeration._LEVELS[None]) == 7
+    finally:
+        enumeration._LEVELS[None][:] = cached
+    # every worker, the one still running included, has been reaped
+    assert len(forked) == 4
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
