@@ -63,15 +63,17 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
     return graphs
 
 
-def _emit_graphs(args: argparse.Namespace, graphs: list[Graph],
+def _emit_graphs(args: argparse.Namespace, text: str,
                  command: str, t0: float) -> None:
+    """Emit ``text``, graph6 lines each ending in a newline, as it is or
+    as the ``graphs`` list of a JSON report."""
     if args.format == "json":
+        lines = text.split()  # graph6 has no whitespace
         _emit_json(args, {"schema": SCHEMA, "command": command,
-                          "count": len(graphs),
-                          "graphs": [to_graph6(g) for g in graphs],
+                          "count": len(lines), "graphs": lines,
                           "ok": True}, t0)
     else:
-        _emit(args, "".join(to_graph6(g) + "\n" for g in graphs))
+        _emit(args, text)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -157,15 +159,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     q = _filter_q(args)
     t0 = time.perf_counter()
-    _emit_graphs(args, enumerate_graphs(args.n, q), "enumerate", t0)
+    _emit_graphs(args, enumerate_graphs(args.n, q).graph6(), "enumerate", t0)
     return EXIT_OK
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     graphs = _read_graphs(args)
-    out = [saturate(g, args.q) for g in graphs]
-    _emit_graphs(args, out, "saturate", t0)
+    text = "".join(to_graph6(saturate(g, args.q)) + "\n" for g in graphs)
+    _emit_graphs(args, text, "saturate", t0)
     return EXIT_OK
 
 

@@ -11,11 +11,14 @@ one canonical representative per isomorphism class, sorted canonically.
 
 Since parents are independent, a level with 128 or more parents is built
 by forked workers: one per usable core, with at least 64 parents each,
-worker i of w taking every w-th parent from the i-th.  Their certificates
-are merged and sorted, so the level is the same for any worker count.
+worker i of w taking every w-th parent from the i-th.  Their keys are
+merged and sorted, so the level is the same for any worker count.
 
 Levels are cached per filter so repeated queries (the verification
-commands share the triangle-free levels, for instance) pay once.
+commands share the triangle-free levels, for instance) pay once.  A level
+is held as the sorted list of its graphs' keys, one integer each (the
+upper triangle, ``graph._upper_key``), and handed out as a read-only
+``Level`` that builds each ``Graph`` only when it is reached.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from typing import BinaryIO, Sequence
+from collections.abc import Sequence
+from typing import BinaryIO, Iterator
 
 from .canon import canonical_certificate_rows
-from .graph import Graph, _relabel_rows, bits
+from .graph import Graph, _graph6_text, _key_rows, _relabel_rows, _upper_key, bits
 from .invariants import _best_clique
 
 
@@ -47,8 +51,48 @@ _PARENTS_PER_WORKER = 64
 # order 10), many small ones do not
 _FRAME = 512
 
-# filter key: None for all graphs, q >= 3 for K_q-free
-_LEVELS: dict[int | None, list[list[Graph]]] = {}
+# filter key: None for all graphs, q >= 2 for K_q-free; levels[i] holds
+# the sorted keys of order i + 1
+_LEVELS: dict[int | None, list[list[int]]] = {}
+
+
+class Level(Sequence):
+    """The graphs of one enumeration level, read-only and in canonical
+    order.  It holds the level's keys (``graph._upper_key``) and builds
+    each ``Graph`` when it is reached, so ``list(level)`` is the list of
+    graphs and the cached level cannot be changed through it."""
+
+    __slots__ = ("n", "_keys")
+
+    def __init__(self, keys: list[int], n: int):
+        self.n = n
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i: int | slice) -> Graph | Level:
+        if isinstance(i, slice):
+            return Level(self._keys[i], self.n)
+        return Graph.from_rows(_key_rows(self._keys[i], self.n), check=False)
+
+    def __iter__(self) -> Iterator[Graph]:
+        n = self.n
+        for key in self._keys:
+            yield Graph.from_rows(_key_rows(key, n), check=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Level):
+            return NotImplemented
+        return self.n == other.n and self._keys == other._keys
+
+    def __repr__(self) -> str:
+        return f"Level(n={self.n}, graphs={len(self._keys)})"
+
+    def graph6(self) -> str:
+        """The graph6 lines of the level, each ending in a newline, written
+        from the keys with no ``Graph`` built."""
+        return _graph6_text(self._keys, self.n)
 
 
 def _class_count_estimate(n: int) -> str:
@@ -92,17 +136,16 @@ def _canonical_parent(cert: Sequence[int]) -> tuple[int, ...]:
     return canonical_certificate_rows(_relabel_rows(cert, rest), len(rest))
 
 
-def _children(parent: Graph, q: int | None) -> list[tuple[int, ...]]:
-    """Certificates of the children of ``parent`` kept by canonical
-    deletion: a child is kept when its certificate minus m(child) is
-    ``parent`` again, which needs the new vertex k to have the least
-    invariant.  Only children where it has are labelled, and only ties
+def _children(parent: int, k: int, q: int | None) -> list[int]:
+    """Keys of the children of the order-``k`` graph with key ``parent``
+    kept by canonical deletion: a child is kept when its certificate minus
+    m(child) is the parent again, which needs the new vertex k to have the
+    least invariant.  Only children where it has are labelled, and only ties
     between several such vertices pay the labelling of the deletion.  The
     class of G comes only from the class of G - m(G), which is one parent,
     so one set per parent removes the repeats that automorphisms of the
     parent make."""
-    k = parent.n
-    rows = parent.rows
+    rows = tuple(_key_rows(parent, k))
     deg = [r.bit_count() for r in rows]
     # at[d]: parent vertices of degree d; under[d]: those of degree < d
     at = [0] * (k + 1)
@@ -111,8 +154,8 @@ def _children(parent: Graph, q: int | None) -> list[tuple[int, ...]]:
     under = [0] * (k + 1)
     for d in range(k):
         under[d + 1] = under[d] | at[d]
-    seen: set[tuple[int, ...]] = set()
-    out: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    out: list[int] = []
     for smask in _extension_sets(rows, k, q):
         d = smask.bit_count()
         # k, of degree d, has least degree: every parent vertex of
@@ -120,22 +163,24 @@ def _children(parent: Graph, q: int | None) -> list[tuple[int, ...]]:
         # (index -1 comes only with d = 0, that is smask = 0)
         if under[d] & ~smask or under[d - 1] & smask:
             continue
-        child = parent.add_vertex(smask).rows
+        child = [r | (((smask >> v) & 1) << k) for v, r in enumerate(rows)]
+        child.append(smask)
         cdeg = [r.bit_count() for r in child]
         # then it has the least sorted neighbour degrees among the
         # vertices of degree d
-        key = sorted(cdeg[u] for u in bits(smask))
+        own = sorted(cdeg[u] for u in bits(smask))
         same = (at[d] & ~smask) | (at[d - 1] & smask)
         others = [sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)]
-        if any(other < key for other in others):
+        if any(other < own for other in others):
             continue
         cert = canonical_certificate_rows(child, k + 1)
-        if cert in seen:
+        key = _upper_key(cert)
+        if key in seen:
             continue
-        seen.add(cert)
-        if key in others and _canonical_parent(cert) != rows:
+        seen.add(key)
+        if own in others and _canonical_parent(cert) != rows:
             continue
-        out.append(cert)
+        out.append(key)
     return out
 
 
@@ -157,14 +202,14 @@ def _worker_count(parents: int) -> int:
     return max(1, min(_usable_cores(), parents // _PARENTS_PER_WORKER))
 
 
-def _work(parents: list[Graph], q: int | None, fd: int) -> int:
-    """Body of a forked worker: write the kept certificates of ``parents``
-    to ``fd`` as length-prefixed marshal frames of at most _FRAME
-    certificates, or its error as one frame holding a string; return the
+def _work(parents: list[int], k: int, q: int | None, fd: int) -> int:
+    """Body of a forked worker: write the kept keys of the order-``k``
+    ``parents`` to ``fd`` as length-prefixed marshal frames of at most
+    _FRAME keys, or its error as one frame holding a string; return the
     exit status."""
     try:
-        certs = [c for p in parents for c in _children(p, q)]
-        frames = [certs[i:i + _FRAME] for i in range(0, len(certs), _FRAME)]
+        keys = [c for p in parents for c in _children(p, k, q)]
+        frames = [keys[i:i + _FRAME] for i in range(0, len(keys), _FRAME)]
         failed = False
     except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises
         frames = [f"{type(exc).__name__}: {exc}"]
@@ -176,9 +221,9 @@ def _work(parents: list[Graph], q: int | None, fd: int) -> int:
     return int(failed)
 
 
-def _forked_children(parents: list[Graph], q: int | None,
-                     w: int) -> list[tuple[int, ...]]:
-    """The kept certificates of ``parents`` from ``w`` forked workers,
+def _forked_children(parents: list[int], k: int, q: int | None,
+                     w: int) -> list[int]:
+    """The kept keys of the order-``k`` ``parents`` from ``w`` forked workers,
     worker i taking parents[i::w] and answering through its own pipe.  Any
     worker that fails fails the level, so it is never short."""
     workers: list[tuple[int, BinaryIO]] = []
@@ -190,12 +235,12 @@ def _forked_children(parents: list[Graph], q: int | None,
                 # parent's exit handlers and flushes none of its buffers
                 code = 1
                 try:
-                    code = _work(parents[i::w], q, wfd)
+                    code = _work(parents[i::w], k, q, wfd)
                 finally:
                     os._exit(code)
             os.close(wfd)
             workers.append((pid, os.fdopen(rfd, "rb")))
-        certs: list[tuple[int, ...]] = []
+        keys: list[int] = []
         for i in range(w):
             pid, reader = workers[0]
             frames = []
@@ -210,8 +255,8 @@ def _forked_children(parents: list[Graph], q: int | None,
                 raise EnumerationWorkerError(
                     f"enumeration worker {i} of {w} failed: {detail}")
             for data in frames:
-                certs.extend(marshal.loads(data))
-        return certs
+                keys.extend(marshal.loads(data))
+        return keys
     except OSError as exc:
         raise EnumerationWorkerError(f"enumeration workers: {exc}") from exc
     finally:
@@ -223,31 +268,34 @@ def _forked_children(parents: list[Graph], q: int | None,
                 os.waitpid(pid, 0)
 
 
-def _next_level(parents: list[Graph], q: int | None) -> list[Graph]:
-    """The next level by canonical deletion, one parent at a time (see
-    ``_children``), in-process or over forked workers; the level is sorted
-    once merged, so it does not depend on the worker count."""
+def _next_level(parents: list[int], k: int, q: int | None) -> list[int]:
+    """The keys of order k + 1 from the keys ``parents`` of order k, by
+    canonical deletion one parent at a time (see ``_children``), in-process
+    or over forked workers; the keys are sorted once merged, so the level
+    does not depend on the worker count."""
     w = _worker_count(len(parents))
     if w == 1:
-        level: list = [c for p in parents for c in _children(p, q)]
+        level = [c for p in parents for c in _children(p, k, q)]
     else:
-        level = _forked_children(parents, q, w)
+        level = _forked_children(parents, k, q, w)
     level.sort()
-    # each graph replaces its certificate, so the level needs one list, not two
-    for i, cert in enumerate(level):
-        level[i] = Graph.from_rows(cert, check=False)
     return level
 
 
-def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[list[Graph]]:
-    """Lists of all non-isomorphic (K_q-free) graphs for orders 1..max_order.
+def _check_filter(q: int | None) -> None:
+    if q is not None and q < 2:
+        raise ValueError("forbidden clique size must be >= 2")
+
+
+def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[Level]:
+    """All non-isomorphic (K_q-free) graphs for orders 1..max_order, one
+    read-only ``Level`` per order.
 
     ``levels[i]`` holds order i+1.  Unrestricted enumeration is capped at
     order 11 by contract; hereditary clique filters have no hard cap.
     """
     q = forbidden_clique
-    if q is not None and q < 2:
-        raise ValueError("forbidden clique size must be >= 2")
+    _check_filter(q)
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if q is None and max_order > UNRESTRICTED_MAX:
@@ -257,15 +305,16 @@ def levels_up_to(max_order: int, forbidden_clique: int | None = None) -> list[li
         )
     levels = _LEVELS.setdefault(q, [])
     if not levels:
-        levels.append([Graph(1)])
+        levels.append([0])  # the key of the one graph of order 1
     while len(levels) < max_order:
-        levels.append(_next_level(levels[-1], q))
-    return levels[:max_order]
+        levels.append(_next_level(levels[-1], len(levels), q))
+    return [Level(keys, i + 1) for i, keys in enumerate(levels[:max_order])]
 
 
-def enumerate_graphs(n: int, forbidden_clique: int | None = None) -> list[Graph]:
+def enumerate_graphs(n: int, forbidden_clique: int | None = None) -> Level:
     """All non-isomorphic graphs of order exactly ``n`` passing the filter,
     one canonical representative each, in canonical order."""
     if n == 0:  # the levels start at order 1
-        return [Graph(0)]
+        _check_filter(forbidden_clique)
+        return Level([0], 0)
     return levels_up_to(n, forbidden_clique)[n - 1]

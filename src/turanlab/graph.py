@@ -8,6 +8,8 @@ Graphs are immutable; every edit returns a new instance.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -289,18 +291,85 @@ def blow_up(g: Graph, weights: Sequence[int]) -> Graph:
     return Graph.from_rows(rows, check=False)
 
 
+# -- upper-triangle keys --------------------------------------------------
+
+
+def _key_pairs(n: int) -> list[tuple[int, int]]:
+    """The vertex pair of each bit of an order-``n`` key, least significant
+    bit first (see ``_upper_key``)."""
+    return [(i, j) for i in range(n - 1, -1, -1) for j in range(i + 1, n)]
+
+
+def _slice_tables(place: list[int]) -> list[list[int]]:
+    """For each 8-bit slice of a key, a table from the slice's value to
+    the OR of ``place[p]`` over the key bits p it sets."""
+    tables = []
+    for lo in range(0, len(place), 8):
+        part = place[lo:lo + 8]
+        table = [0] * (1 << len(part))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | part[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _upper_key(rows: Sequence[int]) -> int:
+    """The upper triangle of ``rows`` as one integer: row i gives its
+    n - 1 - i bits above the diagonal, ``rows[i] >> (i + 1)``, row 0 most
+    significant.  The bits below the diagonal repeat earlier rows, so for
+    graphs of one order, key order is the lexicographic order of the rows:
+    sorted canonical keys are sorted certificates."""
+    n = len(rows)
+    key = 0
+    for i, r in enumerate(rows):
+        key = (key << (n - 1 - i)) | (r >> (i + 1))
+    return key
+
+
+_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@functools.cache  # built once per order: the decoder runs once per graph
+def _row_tables(n: int) -> tuple[int, list[list[int]]]:
+    """Word size in bytes and slice tables of the order-``n`` key decoder:
+    the table of a key slice gives both adjacency bits of each of its
+    pairs, row i in the i-th word of the size."""
+    size = next((b for b in _WORD_FORMAT if 8 * b >= n), None)
+    if size is None:
+        raise ValueError(f"keys are decoded for orders up to 64, not {n}")
+    word = 8 * size
+    return size, _slice_tables([(1 << (word * i + j)) | (1 << (word * j + i))
+                                for i, j in _key_pairs(n)])
+
+
+def _key_rows(key: int, n: int) -> list[int]:
+    """The rows of the graph of order ``n`` whose key is ``key`` (see
+    ``_upper_key``): the slice tables set the adjacency matrix, one
+    machine word per row, and the words are read back as the rows."""
+    size, tables = _row_tables(n)
+    matrix = 0
+    for table in tables:
+        matrix |= table[key & 255]
+        key >>= 8
+    words = memoryview(matrix.to_bytes(n * size, sys.byteorder))
+    return words.cast(_WORD_FORMAT[size]).tolist()
+
+
 # -- graph6 ----------------------------------------------------------------
+
+
+def _graph6_head(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    return "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode as graph6: header byte(s) for n, then upper-triangle bits
     x(0,1), x(0,2), x(1,2), x(0,3), ... packed 6 per byte, each +63."""
     n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
-    out = [head]
+    out = [_graph6_head(n)]
     acc = 0
     nbits = 0
     rows = g.rows
@@ -317,6 +386,35 @@ def to_graph6(g: Graph) -> str:
         acc <<= 6 - nbits
         out.append(chr(acc + 63))
     return "".join(out)
+
+
+def _graph6_text(keys: Iterable[int], n: int) -> str:
+    """The graph6 lines of the graphs of order ``n`` with these keys (see
+    ``_upper_key``), each ending in a newline; each line equals
+    ``to_graph6`` of the graph.  A line is built as one integer (header,
+    payload bytes, newline, most significant first): per 8-bit slice of
+    the key, a table gives the slice's bits at their graph6 places, and
+    adding the 63 of every payload byte never carries."""
+    nbits = n * (n - 1) // 2
+    m = (nbits + 5) // 6
+    head = _graph6_head(n).encode()
+    size = len(head) + m + 1
+    base = int.from_bytes(head + b"?" * m + b"\n", "big")
+    # graph6 bit t = C(j, 2) + i, of the pair (i, j), is bit 5 - t % 6 of
+    # payload byte t // 6
+    place = []
+    for i, j in _key_pairs(n):
+        t = j * (j - 1) // 2 + i
+        place.append(1 << (8 * (m - t // 6) + 5 - t % 6))
+    tables = _slice_tables(place)
+    out = bytearray()
+    for key in keys:
+        line = base
+        for table in tables:
+            line += table[key & 255]
+            key >>= 8
+        out += line.to_bytes(size, "big")
+    return out.decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -105,6 +105,14 @@ def test_timing_without_json_is_usage_error(argv):
     assert code == 0 and "runtime_ms" in json.loads(out)
 
 
+@pytest.mark.parametrize("n,r", [("0", "0"), ("0", "-3"), ("1", "0")])
+def test_kr1_free_below_an_edge_is_usage_error_at_every_order(n, r):
+    # --r 1 forbids K_2; smaller r forbids nothing meaningful, even at order 0
+    code, out, err = run_cli(["enumerate", "--n", n, "--filter", "kr1-free", "--r", r])
+    assert code == 2 and out == ""
+    assert err == "error: forbidden clique size must be >= 2\n"
+
+
 def test_enumerate_infeasible_is_resource_error():
     code, _, err = run_cli(["enumerate", "--n", "12"])
     assert code == 2

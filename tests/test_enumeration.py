@@ -76,6 +76,35 @@ def test_levels_are_cached_and_stable():
     assert a == b
 
 
+def test_callers_cannot_change_the_cached_levels():
+    level = enumerate_graphs(5, 3)
+    with pytest.raises(AttributeError):
+        level.clear()
+    with pytest.raises(TypeError):
+        level[0] = Graph(5)
+    with pytest.raises(TypeError):
+        del level[0]
+    levels_up_to(6, 3).clear()  # the list of levels is the caller's own
+    assert len(enumerate_graphs(5, 3)) == 14
+    assert len(levels_up_to(6, 3)[-1]) == 38
+
+
+def test_a_level_builds_the_graphs_of_its_keys():
+    level = enumerate_graphs(6, 3)
+    graphs = list(level)
+    assert [level[i] for i in range(len(level))] == graphs
+    assert list(level[3:9]) == graphs[3:9] and level[-1] == graphs[-1]
+    assert level == enumerate_graphs(6, 3) and level != levels_up_to(6, 3)[-2]
+
+
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_a_forbidden_clique_below_two_is_rejected_at_every_order(q):
+    for n in (0, 1, 5):
+        with pytest.raises(ValueError, match="forbidden clique size must be >= 2"):
+            enumerate_graphs(n, q)
+    assert list(enumerate_graphs(0, 2)) == [Graph(0)]
+
+
 def test_unrestricted_cap():
     with pytest.raises(EnumerationLimitError) as err:
         levels_up_to(12)
@@ -122,7 +151,8 @@ def test_triangle_free_order_nine_labels_few_children(monkeypatch):
     # the seen-set generator labels all 24,149 children of order 9; the
     # count runs in-process, since labellings in forked workers would not
     # reach this list
-    parents = levels_up_to(8, 3)[-1]
+    levels_up_to(8, 3)
+    parents = enumeration._LEVELS[3][7]
     calls = []
 
     def counting(rows, n):
@@ -130,7 +160,7 @@ def test_triangle_free_order_nine_labels_few_children(monkeypatch):
         return canonical_certificate_rows(rows, n)
 
     monkeypatch.setattr(enumeration, "canonical_certificate_rows", counting)
-    level = [c for p in parents for c in enumeration._children(p, 3)]
+    level = [c for p in parents for c in enumeration._children(p, 8, 3)]
     assert len(level) == 1897
     assert 0 < len(calls) <= 5000
 
@@ -154,15 +184,15 @@ def _counting_forks(monkeypatch, cores):
 
 @pytest.mark.parametrize("q,max_order", [(None, 8), (3, 10), (4, 8)])
 def test_levels_do_not_depend_on_the_worker_count(monkeypatch, q, max_order):
-    levels = levels_up_to(max_order, q)
+    levels_up_to(max_order, q)
+    keys = enumeration._LEVELS[q][:max_order]
     for cores in (1, 2, 3):
         # one worker per core, with at least 64 parents each
-        workers = [min(cores, len(level) // 64) for level in levels[:-1]]
+        workers = [min(cores, len(level) // 64) for level in keys[:-1]]
         forked = _counting_forks(monkeypatch, cores)
         for n in range(2, max_order + 1):
-            level = enumeration._next_level(levels[n - 2], q)
-            assert [g.rows for g in level] == [g.rows for g in levels[n - 1]], \
-                (cores, q, n)
+            level = enumeration._next_level(keys[n - 2], n - 1, q)
+            assert level == keys[n - 1], (cores, q, n)
         assert len(forked) == sum(w for w in workers if w > 1)
 
 
@@ -171,17 +201,19 @@ def test_levels_do_not_depend_on_the_worker_count(monkeypatch, q, max_order):
     ("kill", f"ended by signal {signal.SIGKILL}"),
 ], ids=["raise", "kill"])
 def test_a_failing_worker_fails_the_level(monkeypatch, capsys, how, detail):
-    boom = levels_up_to(7)[-1][500]  # a parent of worker 0
+    levels_up_to(7)
+    boom = enumeration._LEVELS[None][6][500]  # the key of a parent of worker 0
     forked = _counting_forks(monkeypatch, 2)
     children = enumeration._children
     here = os.getpid()
 
-    def failing(parent, q):
-        if parent is boom and os.getpid() != here:  # only ever in a worker
+    def failing(parent, k, q):
+        # only ever in a worker
+        if parent == boom and k == 7 and os.getpid() != here:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise ValueError("boom")
-        return children(parent, q)
+        return children(parent, k, q)
 
     monkeypatch.setattr(enumeration, "_children", failing)
     cached = enumeration._LEVELS[None][:]

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
     GraphFormatError,
     Partition,
+    _graph6_text,
+    _key_rows,
+    _upper_key,
     blow_up,
     complete_graph,
     complete_multipartite,
@@ -117,6 +121,82 @@ def test_graph6_large_order_header():
     assert from_graph6(s) == g
     g = complete_multipartite([50, 50])
     assert from_graph6(to_graph6(g)) == g
+
+
+def _random_graphs(count, orders, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.choice(orders)
+        p = rng.random()
+        out.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < p]))
+    return out
+
+
+def _all_labelled_rows(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for t, (i, j) in enumerate(pairs):
+            if mask >> t & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        yield rows
+
+
+def _key_test_graphs():
+    """Every graph with n <= 8, up to isomorphism, and 2,000 seeded random
+    labelled graphs with n = 9..16."""
+    graphs = [g for n in range(1, 9) for g in enumerate_graphs(n)]
+    return graphs + _random_graphs(2000, range(9, 17), 7)
+
+
+def test_key_decodes_to_the_rows():
+    for g in _key_test_graphs():
+        assert tuple(_key_rows(_upper_key(g.rows), g.n)) == g.rows
+    assert _upper_key(()) == 0 and _key_rows(0, 0) == []
+    assert _upper_key((0,)) == 0 and _key_rows(0, 1) == [0]
+    with pytest.raises(ValueError, match="orders up to 64"):
+        _key_rows(0, 65)  # a row no longer fits a machine word
+
+
+def test_key_is_row_major_upper_triangle():
+    # fields of 3, 2 and 1 bits, row 0 first; in a field the bit of the
+    # higher vertex is the more significant
+    g = Graph(4, [(0, 1), (0, 2), (1, 2)])
+    assert _upper_key(g.rows) == 0b011_01_0
+    assert _upper_key(Graph(4, [(0, 3)]).rows) == 0b100_00_0
+    assert _upper_key(Graph(4, [(2, 3)]).rows) == 0b000_00_1
+
+
+def test_key_order_is_row_order():
+    labelled = [Graph.from_rows(rows) for rows in _all_labelled_rows(5)]
+    random.Random(3).shuffle(labelled)
+    by_rows = sorted(labelled, key=lambda g: g.rows)
+    assert sorted(labelled, key=lambda g: _upper_key(g.rows)) == by_rows
+    graphs = _key_test_graphs()
+    for n in range(1, 17):
+        same = [g for g in graphs if g.n == n]
+        assert sorted(same, key=lambda g: _upper_key(g.rows)) == \
+            sorted(same, key=lambda g: g.rows), n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 9, 12, 16, 63])
+def test_graph6_from_keys_equals_to_graph6(n):
+    # C(4, 2) = 6 fills one payload byte, C(9, 2) = 36 six; order 63 has
+    # the long header
+    graphs = [Graph(n), complete_graph(n), *_random_graphs(50, [n], n)]
+    if n <= 5:
+        graphs += [Graph.from_rows(rows) for rows in _all_labelled_rows(n)]
+    keys = [_upper_key(g.rows) for g in graphs]
+    assert _graph6_text(keys, n) == "".join(to_graph6(g) + "\n" for g in graphs)
+
+
+def test_graph6_from_keys_equals_to_graph6_on_every_small_graph():
+    for n in range(1, 9):
+        level = enumerate_graphs(n)
+        assert level.graph6() == "".join(to_graph6(g) + "\n" for g in level), n
 
 
 def test_graph6_malformed():
