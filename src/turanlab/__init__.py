@@ -1,6 +1,6 @@
 """turanlab: exact workbench for clique-free extremal graph theory."""
 
-from .canon import are_isomorphic, canonical_form, certificate
+from .canon import are_isomorphic, certificate
 from .constructions import (
     extremal_family,
     extremal_graph,
@@ -19,7 +19,6 @@ from .deficiency import (
     deficiency,
     deficiency_lower_bound,
     deficiency_search,
-    extremal_size_estimate,
     optimal_blowup,
 )
 from .enumeration import (
@@ -31,13 +30,11 @@ from .enumeration import (
 from .graph import (
     Graph,
     GraphFormatError,
-    Partition,
     blow_up,
     complete_graph,
     complete_multipartite,
     cone,
     cycle_graph,
-    empty_graph,
     from_graph6,
     path_graph,
     to_graph6,

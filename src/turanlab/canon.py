@@ -164,11 +164,6 @@ def canonical_certificate_rows(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def canonical_form(g: Graph) -> Graph:
-    """A canonically relabelled copy; isomorphic graphs map to equal graphs."""
-    return Graph.from_rows(canonical_certificate_rows(g.rows, g.n), check=False)
-
-
 def certificate(g: Graph) -> tuple[int, ...]:
     return canonical_certificate_rows(g.rows, g.n)
 

@@ -157,6 +157,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     q = _filter_q(args)
     t0 = time.perf_counter()
     _emit_graphs(args, enumerate_graphs(args.n, q).graph6(), "enumerate", t0)

@@ -16,7 +16,6 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .enumeration import levels_up_to
@@ -215,11 +214,3 @@ def blowup_bound_gap_times_r(h: Graph, n: int, achieved: int) -> int:
     rep = deficiency(h, r)
     return r * achieved - r * turan_number(n, r) + rep.value * n
 
-
-def extremal_size_estimate(n: int, r: int, k: int, deficiency_value: int) -> Fraction:
-    """Leading-order size of the largest K_{r+1}-free graph of chromatic
-    number >= k: t_{n,r} - deficiency*n/r.  Correct only up to an additive
-    constant depending on k and r."""
-    if k < r:
-        raise ValueError("need k >= r")
-    return Fraction(turan_number(n, r)) - Fraction(deficiency_value * n, r)

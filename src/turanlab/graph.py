@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_ORDER = 4096
@@ -74,13 +73,11 @@ class Graph:
         if n > MAX_ORDER:
             raise ValueError(f"order must be at most {MAX_ORDER}, got {n}")
         if check:
-            full = (1 << n) - 1
             for v, r in enumerate(rows):
                 if r >> n or r < 0:
                     raise ValueError(f"row {v} has bits outside 0..{n - 1}")
                 if (r >> v) & 1:
                     raise ValueError(f"self-loop at vertex {v}")
-                r &= full
             for v, r in enumerate(rows):
                 for u in bits(r):
                     if not (rows[u] >> v) & 1:
@@ -146,12 +143,6 @@ class Graph:
         rows.append(neighbor_mask)
         return Graph.from_rows(rows, check=False)
 
-    def complement(self) -> "Graph":
-        n = self.n
-        full = (1 << n) - 1
-        rows = [(~r & full) & ~(1 << v) for v, r in enumerate(self.rows)]
-        return Graph.from_rows(rows, check=False)
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced on ``vertices``; vertex i maps to position i."""
         if len(set(vertices)) != len(vertices):
@@ -168,17 +159,8 @@ class Graph:
             order[p] = v
         return Graph.from_rows(_relabel_rows(self.rows, order), check=False)
 
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        shift = self.n
-        rows = list(self.rows) + [r << shift for r in other.rows]
-        return Graph.from_rows(rows, check=False)
-
 
 # -- named constructors ---------------------------------------------------
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def complete_graph(n: int) -> Graph:
@@ -217,47 +199,17 @@ def cone(g: Graph) -> Graph:
     return g.add_vertex((1 << g.n) - 1)
 
 
-# -- partitions and twin classes ------------------------------------------
+# -- twin classes ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered list of disjoint, non-empty vertex blocks with a kind tag."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    kind: str
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block")
-            for v in b:
-                if v in seen:
-                    raise ValueError(f"vertex {v} in two blocks")
-                seen.add(v)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise KeyError(v)
-
-    def covers(self, n: int) -> bool:
-        return sum(len(b) for b in self.blocks) == n
-
-
-def twin_classes(g: Graph) -> Partition:
-    """Partition into maximal sets of vertices with identical open
-    neighbourhoods (so twins are never adjacent)."""
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The maximal sets of vertices with identical open neighbourhoods (so
+    twins are never adjacent), each sorted, ordered by least vertex."""
     groups: dict[int, list[int]] = {}
     for v, r in enumerate(g.rows):
         groups.setdefault(r, []).append(v)
-    blocks = sorted((tuple(vs) for vs in groups.values()), key=lambda b: b[0])
-    return Partition(tuple(blocks), "twin-classes")
+    # a dict keeps its keys in insertion order, here that of least vertices
+    return tuple(tuple(vs) for vs in groups.values())
 
 
 # -- blow-ups --------------------------------------------------------------

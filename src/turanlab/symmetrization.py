@@ -80,8 +80,7 @@ def zykov_reduce(g: Graph) -> tuple[Graph, SymmetrizationTrace]:
     cur = g
     steps: list[TraceStep] = []
     while True:
-        part = twin_classes(cur)
-        blocks = part.blocks
+        blocks = twin_classes(cur)
         pair = None
         for i in range(len(blocks)):
             a = blocks[i][0]

@@ -154,24 +154,3 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
     validate_certificate(g, cert)
     return cert
 
-
-def disjoint_balanced_copies(a: int, b: int, c: int
-                             ) -> list[list[tuple[int, int]]]:
-    """Edge-disjoint balanced complete tripartite graphs on (a,a,a) packed
-    into the complete tripartite host with parts of sizes a <= b <= c
-    (parts laid out consecutively); floor(b/a) copies, copy i using the
-    whole first part with the i-th chunks of the other two."""
-    if not a <= b <= c:
-        raise ValueError("need a <= b <= c")
-    first = list(range(a))
-    second = list(range(a, a + b))
-    third = list(range(a + b, a + b + c))
-    copies = []
-    for i in range(b // a):
-        bs = second[i * a:(i + 1) * a]
-        cs = third[i * a:(i + 1) * a]
-        edges = [(u, v) for u in first for v in bs]
-        edges += [(u, v) for u in first for v in cs]
-        edges += [(u, v) for u in bs for v in cs]
-        copies.append(edges)
-    return copies

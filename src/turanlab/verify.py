@@ -245,7 +245,7 @@ def check_turan_pointwise(max_order: int = 7) -> dict:
         reduced, _ = zykov_reduce(g)
         if not (g.edge_count <= reduced.edge_count <= turan_number(g.n, w)):
             return _fail("turan pointwise", g, (w,))
-        blocks = twin_classes(reduced).blocks
+        blocks = twin_classes(reduced)
         if len(blocks) > w:
             return _fail("class count exceeds clique number", g, (w,))
         for i in range(len(blocks)):
@@ -366,7 +366,7 @@ def analyze_graph(g: Graph, r: int | None = None, q: int | None = None) -> dict:
         "chromatic_number": chi,
         "coloring": list(col.colors),
         "twin_class_count": len(tc),
-        "twin_classes": [list(b) for b in tc.blocks],
+        "twin_classes": [list(b) for b in tc],
     }
     if sat is not None:
         entry["saturation"] = {

@@ -141,8 +141,7 @@ def test_criterion_4_construction_suite():
     g = sat_non_blowup(4, 3, 40)
     rep = is_saturated(g, 4)
     assert rep.clique_free and rep.saturated
-    part = twin_classes(g)
-    block_of = {v: i for i, b in enumerate(part.blocks) for v in b}
+    block_of = {v: i for i, b in enumerate(twin_classes(g)) for v in b}
     w1_blocks = [block_of[v] for v in range(6)]
     assert len(set(w1_blocks)) == 6
 

@@ -246,6 +246,49 @@ def test_enumerate_output_is_byte_stable(argv, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize("source,argv,digest", [
+    (["construct", "groetzsch"], ["analyze"],
+     "54708c6a64afe3a728537a741421144839af1d43ce17111914ea5175990b7264"),
+    (["construct", "turan", "--n", "9", "--r", "3"],
+     ["analyze", "--r", "3", "--q", "4"],
+     "9fdd07a6a60c84b868c093ae2ed2f4bac7e6434d5f5cc2408f0f0e0d193de859"),
+    (["construct", "groetzsch"], ["blowup-opt", "--n", "30"],
+     "30000a95df4997862dbb9566741dcd1b9363c12ddf3346bde44ed88d52b5cb28"),
+    (["construct", "sat-non-blowup", "--m", "4", "--r", "3", "--n", "40"],
+     ["extract-tripartite"],
+     "d5b4575ea9af987a0c57c98142dbc240c4298f0cb5acd12a83c9fb08033bdb56"),
+    (None, ["verify", "thm2", "--r", "3", "--n", "7..8"],
+     "3d0028557b728ab6bc7dbf4c45c6f10ea93ba9cee412a4eccc592ffdc8438780"),
+], ids=["analyze-groetzsch", "analyze-turan-9-3", "blowup-opt-groetzsch",
+        "extract-tripartite-sat-non-blowup", "thm2-r3"])
+def test_report_output_is_byte_stable(source, argv, digest):
+    # the reports carry witnesses (twin classes, clique, colouring, weights,
+    # parts) that no isomorphism-invariant assertion would catch changing
+    stdin = b""
+    if source is not None:
+        stdin = subprocess.run([sys.executable, "-m", "turanlab.cli", *source],
+                               capture_output=True, check=True).stdout
+    proc = subprocess.run([sys.executable, "-m", "turanlab.cli", *argv],
+                          input=stdin, capture_output=True)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "-1"],
+    ["enumerate", "--n", "-5", "--filter", "triangle-free"],
+])
+def test_negative_order_names_the_option(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --n must be >= 0, got {argv[2]}\n"
+
+
+def test_order_zero_is_the_empty_graph():
+    code, out, _ = run_cli(["enumerate", "--n", "0"])
+    assert code == 0 and out == "?\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "turan"],
     ["construct", "family", "--n", "9"],

@@ -154,8 +154,7 @@ def test_sat_non_blowup():
     rep = is_saturated(g, 4)
     assert rep.clique_free and rep.saturated
     # no two window-one vertices are twins
-    part = twin_classes(g)
-    block_of = {v: i for i, b in enumerate(part.blocks) for v in b}
+    block_of = {v: i for i, b in enumerate(twin_classes(g)) for v in b}
     w1 = list(range(comb(4, 2)))
     assert len({block_of[v] for v in w1}) == len(w1)
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,11 +15,11 @@ from turanlab.deficiency import (
     deficiency,
     deficiency_lower_bound,
     deficiency_search,
-    extremal_size_estimate,
     optimal_blowup,
 )
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
+    Graph,
     complete_graph,
     complete_multipartite,
     cone,
@@ -142,9 +141,9 @@ def test_optimal_blowup_matches_oracle_selected():
     shapes = [
         cycle_graph(5),
         complete_multipartite([2, 2, 1]),
-        complete_graph(2).disjoint_union(complete_graph(3)),
+        Graph(5, [(0, 1), (2, 3), (2, 4), (3, 4)]),  # K2 + K3
         from_graph6("DQo"),  # bull-ish 5-vertex graph
-        complete_graph(1).disjoint_union(complete_graph(1)),
+        Graph(2),  # K1 + K1
     ]
     for h in shapes:
         for n in range(h.n, h.n + 5):
@@ -160,12 +159,3 @@ def test_optimal_blowup_groetzsch_band():
     # exact scaled gap against the leading-order bound
     assert blowup_bound_gap_times_r(groetzsch_graph(), 30, e) == 2 * 187 - 2 * 225 + 3 * 30
 
-
-def test_extremal_size_estimate():
-    assert extremal_size_estimate(20, 2, 4, 3) == Fraction(turan_number(20, 2) - 30)
-    assert extremal_size_estimate(10, 3, 5, 2) == \
-        Fraction(turan_number(10, 3)) - Fraction(20, 3)
-    est = extremal_size_estimate(9, 3, 4, 1)
-    # consistent with the threshold up to a constant
-    from turanlab.constructions import threshold_size
-    assert abs(est - threshold_size(9, 3)) <= 2

@@ -6,7 +6,6 @@ from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
     GraphFormatError,
-    Partition,
     _graph6_text,
     _key_rows,
     _upper_key,
@@ -14,7 +13,6 @@ from turanlab.graph import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    empty_graph,
     from_graph6,
     path_graph,
     to_graph6,
@@ -39,14 +37,12 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_rows([0b10, 0b00])  # asymmetric
-
-
-def test_complement_and_union():
-    c5 = cycle_graph(5)
-    assert c5.complement().edge_count == 10 - 5
-    u = c5.disjoint_union(complete_graph(2))
-    assert u.n == 7 and u.edge_count == 6
-    assert u.has_edge(5, 6) and not u.has_edge(4, 5)
+    with pytest.raises(ValueError):
+        Graph.from_rows([0b110, 0b001])  # bit 2 outside order 2
+    with pytest.raises(ValueError):
+        Graph.from_rows([-1, 0])
+    with pytest.raises(ValueError):
+        Graph.from_rows([0b01, 0b00])  # self-loop at 0
 
 
 def test_induced_and_relabel():
@@ -115,7 +111,7 @@ def test_graph6_round_trip_random():
 
 
 def test_graph6_large_order_header():
-    g = empty_graph(63)
+    g = Graph(63)
     s = to_graph6(g)
     assert s.startswith("~")
     assert from_graph6(s) == g
@@ -248,15 +244,15 @@ def test_blow_up_edge_multiplicativity():
 
 def test_twin_classes_multipartite():
     t73 = complete_multipartite([3, 2, 2])
-    part = twin_classes(t73)
-    assert sorted(len(b) for b in part.blocks) == [2, 2, 3]
-    assert part.covers(7)
+    blocks = twin_classes(t73)
+    assert sorted(len(b) for b in blocks) == [2, 2, 3]
+    assert sorted(v for b in blocks for v in b) == list(range(7))
 
 
 def test_twin_classes_cycle_is_twin_free():
-    part = twin_classes(cycle_graph(5))
-    assert len(part) == 5
-    assert all(len(b) == 1 for b in part.blocks)
+    blocks = twin_classes(cycle_graph(5))
+    assert len(blocks) == 5
+    assert all(len(b) == 1 for b in blocks)
 
 
 def test_twin_classes_equal_degrees():
@@ -265,19 +261,12 @@ def test_twin_classes_equal_degrees():
         n = rng.randrange(1, 9)
         g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.4])
-        part = twin_classes(g)
-        assert part.covers(n)
-        for block in part.blocks:
+        blocks = twin_classes(g)
+        assert sorted(v for b in blocks for v in b) == list(range(n))
+        for block in blocks:
             degs = {g.degree(v) for v in block}
             assert len(degs) == 1
             # twins are never adjacent under the open-neighbourhood rule
             for i, u in enumerate(block):
                 for v in block[i + 1:]:
                     assert not g.has_edge(u, v)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(((0, 1), (1, 2)), "coloring")
-    with pytest.raises(ValueError):
-        Partition(((0,), ()), "coloring")

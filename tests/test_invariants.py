@@ -17,7 +17,6 @@ from turanlab.graph import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    empty_graph,
 )
 from turanlab.invariants import (
     CliquePresentError,
@@ -92,7 +91,7 @@ def test_chromatic_examples():
     assert chromatic_number(k4free_5chromatic())[0] == 5
     # no vertex or no edge: the general search answers these
     assert chromatic_number(Graph(0)) == (0, Coloring((), 0))
-    assert chromatic_number(empty_graph(3)) == (1, Coloring((0, 0, 0), 1))
+    assert chromatic_number(Graph(3)) == (1, Coloring((0, 0, 0), 1))
 
 
 def test_chromatic_witness_proper():
@@ -107,10 +106,10 @@ def test_r_colorable_examples():
     ok, col = is_r_colorable(complete_multipartite([3, 3, 3]), 3)
     assert ok and col.is_proper(complete_multipartite([3, 3, 3]))
     assert not is_r_colorable(extremal_graph(7, 2), 2)[0]
-    assert is_r_colorable(empty_graph(5), 1)[0]
+    assert is_r_colorable(Graph(5), 1)[0]
     assert not is_r_colorable(complete_graph(2), 1)[0]
-    assert is_r_colorable(empty_graph(0), 0)[0]
-    assert is_r_colorable(empty_graph(3), 0) == (False, None)
+    assert is_r_colorable(Graph(0), 0)[0]
+    assert is_r_colorable(Graph(3), 0) == (False, None)
     assert is_r_colorable(Graph(0), 2) == (True, Coloring((), 0))
 
 

@@ -3,10 +3,10 @@ import pytest
 from turanlab.constructions import turan_number
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
+    Graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    empty_graph,
     path_graph,
     twin_classes,
 )
@@ -47,7 +47,7 @@ def test_clique_present_reported():
 
 
 def test_saturate_examples():
-    star = saturate(empty_graph(4), 3)
+    star = saturate(Graph(4), 3)
     assert sorted(star.degrees()) == [1, 1, 1, 3]
     assert saturate(cycle_graph(5), 3) == cycle_graph(5)
     dent = complete_multipartite([2, 2, 2]).without_edge(0, 2)

@@ -8,7 +8,6 @@ from turanlab.invariants import CliquePresentError, is_clique_free
 from turanlab.tripartite import (
     CertificateError,
     TripartiteCertificate,
-    disjoint_balanced_copies,
     extract_tripartite,
     validate_certificate,
 )
@@ -94,24 +93,3 @@ def test_triangle_free_tripartite_size_bound_m2():
     assert best <= turan_number(6, 3) - 1 == 11
     assert best == 8  # exhaustive maximum: two complete cross-pairs
 
-
-def test_disjoint_balanced_copies():
-    triples = [(a, b, c) for a in (1, 2) for b in range(a, 5)
-               for c in range(b, 5)]
-    for a, b, c in triples:
-        copies = disjoint_balanced_copies(a, b, c)
-        assert len(copies) == b // a
-        seen = set()
-        host = complete_multipartite([a, b, c])
-        for copy in copies:
-            assert len(copy) == 3 * a * a
-            for u, v in copy:
-                assert host.has_edge(u, v)
-                assert (u, v) not in seen
-                seen.add((u, v))
-            verts = sorted({x for e in copy for x in e})
-            sub = host.induced(verts)
-            assert sub.edge_count == 3 * a * a
-            assert is_clique_free(sub, 4)
-    with pytest.raises(ValueError):
-        disjoint_balanced_copies(3, 2, 4)
