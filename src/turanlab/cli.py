@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -30,7 +31,6 @@ from .enumeration import (
 )
 from .graph import (
     Graph,
-    GraphFormatError,
     read_graph6_lines,
     to_graph6,
 )
@@ -40,9 +40,9 @@ from .tripartite import CertificateError, extract_tripartite
 from .verify import (
     SCHEMA,
     analyze_graph,
-    classify_extremal,
     deficiency_table,
     lemma_suite,
+    verify_classification,
     verify_threshold,
 )
 
@@ -52,7 +52,7 @@ EXIT_USAGE = 2
 
 
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile) as fh:
             lines = fh.readlines()
     else:
@@ -77,17 +77,23 @@ def _emit_graphs(args: argparse.Namespace, text: str,
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        try:
+            # flush here, so a failed write raises inside main's handler
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            # what is still buffered would fail again at exit; send it nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
 
 
 def _emit_json(args: argparse.Namespace, payload: dict, t0: float) -> None:
-    if getattr(args, "timing", False):
-        payload = dict(payload)
-        payload["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+    if args.timing:
+        payload = dict(payload, runtime_ms=int((time.perf_counter() - t0) * 1000))
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -143,19 +149,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    graphs = _read_graphs(args)
-    entries = []
-    for i, g in enumerate(graphs):
-        entry = analyze_graph(g, r=args.r, q=args.q)
-        entry["index"] = i
-        entries.append(entry)
-    _emit_json(args, {"schema": SCHEMA, "command": "analyze",
-                      "graphs": entries, "ok": True}, t0)
-    return EXIT_OK
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
@@ -173,60 +166,47 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_blowup_opt(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    graphs = _read_graphs(args)
-    entries = []
-    for i, g in enumerate(graphs):
-        weights, edges = optimal_blowup(g, args.n)
-        r, _ = clique_number(g)
-        entries.append({
-            "index": i,
-            "target_order": args.n,
-            "weights": list(weights),
-            "edges": edges,
-            "r": r,
-            "deficiency": deficiency(g, r).value,
-            "bound_gap_times_r": blowup_bound_gap_times_r(g, args.n, edges),
-        })
-    _emit_json(args, {"schema": SCHEMA, "command": "blowup-opt",
-                      "graphs": entries, "ok": True}, t0)
-    return EXIT_OK
+def _blowup_entry(g: Graph, args: argparse.Namespace) -> dict:
+    weights, edges = optimal_blowup(g, args.n)
+    r, _ = clique_number(g)
+    value = deficiency(g, r).value
+    return {"target_order": args.n, "weights": list(weights), "edges": edges,
+            "r": r, "deficiency": value,
+            "bound_gap_times_r": blowup_bound_gap_times_r(r, value, args.n, edges)}
 
 
-def cmd_extract_tripartite(args: argparse.Namespace) -> int:
+def _tripartite_entry(g: Graph, args: argparse.Namespace) -> dict:
+    cert = extract_tripartite(g, c_param=args.c_param)
+    return {"parts": [list(p) for p in cert.parts], "covered": cert.covered,
+            "order": cert.order, "fraction_num": cert.fraction.numerator,
+            "fraction_den": cert.fraction.denominator}
+
+
+# report command -> the entry it builds for one input graph
+_REPORTS = {
+    "analyze": lambda g, a: analyze_graph(g, r=a.r, q=a.q),
+    "blowup-opt": _blowup_entry,
+    "extract-tripartite": _tripartite_entry,
+}
+
+
+def cmd_report(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    graphs = _read_graphs(args)
-    entries = []
-    for i, g in enumerate(graphs):
-        cert = extract_tripartite(g, c_param=args.c_param)
-        frac = cert.fraction
-        entries.append({
-            "index": i,
-            "parts": [list(p) for p in cert.parts],
-            "covered": cert.covered,
-            "order": cert.order,
-            "fraction_num": frac.numerator,
-            "fraction_den": frac.denominator,
-        })
-    _emit_json(args, {"schema": SCHEMA, "command": "extract-tripartite",
+    build = _REPORTS[args.command]
+    entries = [dict(build(g, args), index=i)
+               for i, g in enumerate(_read_graphs(args))]
+    _emit_json(args, {"schema": SCHEMA, "command": args.command,
                       "graphs": entries, "ok": True}, t0)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if args.what == "thm1":
+    if args.what in ("thm1", "thm2"):
         if args.n is None:
-            raise ValueError("verify thm1 requires --n (single or lo..hi)")
-        report = verify_threshold(args.r, _parse_range(args.n))
-    elif args.what == "thm2":
-        if args.n is None:
-            raise ValueError("verify thm2 requires --n (single or lo..hi)")
-        ns = _parse_range(args.n)
-        subs = [classify_extremal(args.r, n) for n in ns]
-        report = {"schema": SCHEMA, "check": "classification", "r": args.r,
-                  "cases": subs, "ok": all(s["ok"] for s in subs)}
+            raise ValueError(f"verify {args.what} requires --n (single or lo..hi)")
+        check = verify_threshold if args.what == "thm1" else verify_classification
+        report = check(args.r, _parse_range(args.n))
     elif args.what == "lambda":
         if args.k is None:
             raise ValueError("verify lambda requires --k")
@@ -239,9 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit_json(args, report, t0)
     search = report.get("search")
     if search and not search["complete"]:
-        print(f"resource limit: --budget {args.budget} ran out after "
-              f"{search['examined']} graphs", file=sys.stderr)
-        return EXIT_USAGE
+        raise SearchBudgetExceeded(f"--budget {args.budget} ran out after "
+                                   f"{search['examined']} graphs")
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
@@ -281,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--q", type=int)
     common(p, graphs_in=True)
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("enumerate", help="non-isomorphic graphs of an order")
     p.add_argument("--n", type=int, required=True)
@@ -299,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowup-opt", help="optimal blow-up weights")
     p.add_argument("--n", type=int, required=True, help="target order")
     common(p, graphs_in=True)
-    p.set_defaults(func=cmd_blowup_opt)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("extract-tripartite",
                        help="complete tripartite certificate")
     p.add_argument("--C-param", dest="c_param", type=int, default=10)
     common(p, graphs_in=True)
-    p.set_defaults(func=cmd_extract_tripartite)
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="theorem verifications")
     checks = p.add_subparsers(dest="what", required=True)
@@ -345,10 +324,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"precondition failed: {exc} (witness {exc.witness})",
               file=sys.stderr)
         return EXIT_USAGE
-    except (EnumerationLimitError, SearchBudgetExceeded) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (EnumerationLimitError, SearchBudgetExceeded, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphFormatError, ValueError, EnumerationWorkerError) as exc:
+    except (ValueError, EnumerationWorkerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .graph import Graph, bits, complete_multipartite
+from .graph import Graph, _check_order, bits, complete_multipartite
 
 
 def turan_class_sizes(n: int, r: int) -> list[int]:
@@ -58,6 +58,7 @@ def _extremal_base(n: int, r: int) -> tuple[list[list[int]], int, int]:
     """
     if n < r + 3:
         raise ValueError(f"need n >= r+3 = {r + 3}")
+    _check_order(n)
     sizes = turan_class_sizes(n - 1, r)
     classes: list[list[int]] = []
     off = 0
@@ -250,6 +251,7 @@ def three_sat_many_twin_classes(f: int, n: int) -> Graph:
     rest = n - f - 2 * p
     if rest < 2:
         raise ValueError(f"need n >= {f + 2 * p + 2} so both bulk sets are non-empty")
+    _check_order(n)
     u0 = f
     w0 = f + p
     up0 = f + 2 * p
@@ -315,6 +317,7 @@ def sat_non_blowup(m: int, r: int, n: int) -> Graph:
         raise ValueError("r must be >= 3")
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
+    _check_order(n)
     big_m = comb(m, m // 2)
     sizes = turan_class_sizes(n - 1, r)
     if big_m > sizes[-1] or m > sizes[-1]:
@@ -357,13 +360,14 @@ def three_sat_twin_free(m: int) -> Graph:
     t = m.bit_length() - 1
     if m < 2 or 1 << t != m:
         raise ValueError("m must be a power of two, at least 2")
+    n = 2 * m + 4 * t
+    _check_order(n)
     s1 = list(range(0, t))
     s2 = list(range(t, 2 * t))
     u1 = list(range(2 * t, 3 * t))
     u2 = list(range(3 * t, 4 * t))
     b1 = list(range(4 * t, 4 * t + m))
     b2 = list(range(4 * t + m, 4 * t + 2 * m))
-    n = 2 * m + 4 * t
     edges = []
     for a in s1:
         for b in s2:
@@ -405,6 +409,7 @@ def sat_twin_free(m: int, r: int) -> Graph:
     big_m = comb(m, m // 2)
     cls = big_m + 2 * m
     n = r * (cls + 1)
+    _check_order(n)
     classes = [list(range(i * cls, (i + 1) * cls)) for i in range(r)]
     hubs = [r * cls + i for i in range(r)]
     g = complete_multipartite([cls] * r)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .enumeration import levels_up_to
+from .enumeration import enumerate_graphs
 from .graph import Graph, _relabel_rows, bits, to_graph6
 from .invariants import CliquePresentError, _best_clique, clique_number, is_r_colorable
 from .constructions import turan_number
@@ -96,15 +96,21 @@ def deficiency_search(r: int, k: int, max_order: int,
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, not {node_budget}")
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
     best: int | None = None
     minimal_order: int | None = None
     witnesses: list[str] = []
     examined = 0
     complete = True
     lb = deficiency_lower_bound(r, k)
-    levels = levels_up_to(max_order, forbidden_clique=r + 1)
-    for level in levels:
-        for g in level:
+    # each level is built when it is reached, so a budget that runs out
+    # builds no level past the one it ran out in
+    for m in range(1, max_order + 1):
+        if node_budget is not None and examined >= node_budget:
+            complete = False
+            break
+        for g in enumerate_graphs(m, r + 1):
             if node_budget is not None and examined >= node_budget:
                 complete = False
                 break
@@ -123,8 +129,6 @@ def deficiency_search(r: int, k: int, max_order: int,
                 witnesses = [to_graph6(g)]
             elif rep.value == best and g.n == minimal_order:
                 witnesses.append(to_graph6(g))
-        if not complete:
-            break
     return DeficiencySearchResult(
         r=r, k=k, max_order=max_order, value=best,
         minimal_order=minimal_order, witnesses=tuple(witnesses),
@@ -206,11 +210,10 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
     return best_w, best_e
 
 
-def blowup_bound_gap_times_r(h: Graph, n: int, achieved: int) -> int:
-    """r * (achieved - (t_{n,r} - deficiency*n/r)): the exact integer gap,
-    scaled by r, between an achieved blow-up size and its leading-order
+def blowup_bound_gap_times_r(r: int, value: int, n: int, achieved: int) -> int:
+    """r * (achieved - (t_{n,r} - value*n/r)): the exact integer gap, scaled
+    by r, between an achieved order-``n`` blow-up size of a graph with
+    clique number ``r`` and deficiency ``value`` and its leading-order
     prediction."""
-    r, _ = clique_number(h)
-    rep = deficiency(h, r)
-    return r * achieved - r * turan_number(n, r) + rep.value * n
+    return r * achieved - r * turan_number(n, r) + value * n
 

@@ -49,12 +49,18 @@ def _relabel_rows(rows: Sequence[int], order: Sequence[int]) -> list[int]:
     return out
 
 
+def _check_order(n: int) -> None:
+    """Reject an order outside 0..MAX_ORDER; builders call it before they
+    allocate anything of that order."""
+    if n < 0 or n > MAX_ORDER:
+        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
+
+
 class Graph:
     __slots__ = ("n", "rows", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0 or n > MAX_ORDER:
-            raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -70,8 +76,7 @@ class Graph:
     @classmethod
     def from_rows(cls, rows: Sequence[int], check: bool = True) -> "Graph":
         n = len(rows)
-        if n > MAX_ORDER:
-            raise ValueError(f"order must be at most {MAX_ORDER}, got {n}")
+        _check_order(n)
         if check:
             for v, r in enumerate(rows):
                 if r >> n or r < 0:
@@ -183,6 +188,7 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
     if any(s < 0 for s in sizes):
         raise ValueError("negative class size")
     n = sum(sizes)
+    _check_order(n)
     rows = [0] * n
     full = (1 << n) - 1
     offset = 0
@@ -226,12 +232,13 @@ def blow_up(g: Graph, weights: Sequence[int]) -> Graph:
         raise ValueError(f"need {g.n} weights, got {len(weights)}")
     if any(w < 1 for w in weights):
         raise ValueError("all blow-up weights must be >= 1")
+    n = sum(weights)
+    _check_order(n)
     offsets = [0] * g.n
     acc = 0
     for v, w in enumerate(weights):
         offsets[v] = acc
         acc += w
-    n = acc
     block_mask = [((1 << weights[v]) - 1) << offsets[v] for v in range(g.n)]
     rows = [0] * n
     for v in range(g.n):

@@ -133,6 +133,13 @@ def classify_extremal(r: int, n: int) -> dict:
     }
 
 
+def verify_classification(r: int, n_values: Iterable[int]) -> dict:
+    """``classify_extremal`` at each order, in one report."""
+    cases = [classify_extremal(r, n) for n in n_values]
+    return {"schema": SCHEMA, "check": "classification", "r": r,
+            "cases": cases, "ok": all(c["ok"] for c in cases)}
+
+
 # (r, k) -> built-in gadget, and the established global minimum deficiency it
 # witnesses; a search minimum over a bounded range is never promoted to one
 _GADGETS = {

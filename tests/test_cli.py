@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -204,6 +205,79 @@ def test_empty_graph_input_is_usage_error(argv):
     assert err == "error: no graph6 input\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--in", "{tmp}/missing.g6"],
+    ["analyze", "--in", "{tmp}"],
+    ["construct", "groetzsch", "--out", "{tmp}/missing/x.g6"],
+    ["construct", "groetzsch", "--out", "/dev/full"],
+], ids=["missing-input", "directory-input", "unwritable-output", "full-output"])
+def test_unreadable_or_unwritable_file_is_usage_error(argv, tmp_path):
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno ") and "Traceback" not in err
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "w")
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "groetzsch"],
+    ["enumerate", "--n", "8"],
+], ids=["small", "large"])
+@pytest.mark.parametrize("stdout, message", [
+    (lambda: open("/dev/full", "w"), "[Errno 28] No space left on device"),
+    (_closed_pipe, "[Errno 32] Broken pipe"),
+], ids=["full", "broken-pipe"])
+def test_unwritable_stdout_is_usage_error(argv, stdout, message):
+    # stdout block-buffered, as it is by default: a small report is still
+    # in the buffer when main returns unless main flushes it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with stdout() as sink:
+        proc = subprocess.run([sys.executable, "-m", "turanlab.cli", *argv],
+                              stdout=sink, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+
+
+def _cap_address_space():
+    # a builder that allocates before it checks the order then fails with
+    # a quick MemoryError instead of growing until the machine runs out
+    import resource
+    cap = 1536 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [
+    ["turan", "--n", "100000000", "--r", "2"],
+    ["extremal", "--n", "100000000", "--r", "2"],
+    ["sat3-twins", "--f", "1", "--n", "100000000"],
+    ["sat-non-blowup", "--m", "2", "--r", "3", "--n", "100000000"],
+    ["sat3-twin-free", "--m", str(1 << 27)],
+    ["sat-twin-free", "--m", "20", "--r", "3"],
+    ["sat-twin-free", "--m", "40", "--r", "3"],
+], ids=["turan", "extremal", "sat3-twins", "sat-non-blowup", "sat3-twin-free",
+        "sat-twin-free-20", "sat-twin-free-40"])
+def test_oversize_construction_is_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "turanlab.cli", "construct", *argv],
+                          capture_output=True, text=True,
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: order must be in 0..4096, got ")
+
+
+def test_out_of_memory_is_resource_error(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._FAMILIES, "groetzsch", (exhausted, ()))
+    assert main(["construct", "groetzsch"]) == 2
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
 def test_exhausted_lambda_budget_is_resource_error():
     code, out, err = run_cli(["verify", "lambda", "--r", "2", "--k", "4",
                               "--max-order", "6", "--budget", "3"])
@@ -211,7 +285,7 @@ def test_exhausted_lambda_budget_is_resource_error():
     search = json.loads(out)["search"]
     assert search["complete"] is False and search["examined"] == 3
     assert json.loads(out)["ok"] is False
-    assert err.startswith("resource limit: --budget 3")
+    assert err == "resource limit: --budget 3 ran out after 3 graphs\n"
 
 
 def test_negative_lambda_budget_is_usage_error():
@@ -235,7 +309,11 @@ def test_lambda_budget_without_max_order_is_usage_error():
      "fc4e0c3d4c619d42f24eafa64ce1cda83bc65e0d3592b61a2b4a082361cc575e"),
     (["enumerate", "--n", "8", "--filter", "k4-free"],
      "6ecf2f4a5b3d7023e81d53a7d93365b5473b5ddd68617778beae20c857326e0f"),
-], ids=["all-8", "triangle-free-9", "k4-free-8"])
+    (["enumerate", "--n", "8", "--format", "json"],
+     "69673497756485d5a87858d7efad3f62c7e720648cf4d8b10e459267eebfd064"),
+    (["enumerate", "--n", "4", "--filter", "kr1-free", "--r", "1"],
+     "ca4ab673832a7ca85ec146ad9a3e51da720fa97993c5345bc9ca02e1df51658d"),
+], ids=["all-8", "triangle-free-9", "k4-free-8", "all-8-json", "k2-free-4"])
 def test_enumerate_output_is_byte_stable(argv, digest):
     # the graph6 streams rest on canonical certificates; a canon change that
     # is self-consistent but labels differently passes every isomorphism
@@ -257,10 +335,22 @@ def test_enumerate_output_is_byte_stable(argv, digest):
     (["construct", "sat-non-blowup", "--m", "4", "--r", "3", "--n", "40"],
      ["extract-tripartite"],
      "d5b4575ea9af987a0c57c98142dbc240c4298f0cb5acd12a83c9fb08033bdb56"),
+    (["construct", "sat-twin-free", "--m", "8", "--r", "3"], ["extract-tripartite"],
+     "f605e2a9c9b60794c1084b1b094c604253852978773c0f0c941485147ae9a40e"),
+    (["construct", "turan", "--n", "9", "--r", "3"], ["extract-tripartite"],
+     "42bba64f61f08147fa3aaddddefad0dd7c29ab3ac33e91731643befbfcf9cd97"),
     (None, ["verify", "thm2", "--r", "3", "--n", "7..8"],
      "3d0028557b728ab6bc7dbf4c45c6f10ea93ba9cee412a4eccc592ffdc8438780"),
+    (None, ["verify", "thm1", "--r", "2", "--n", "5..9"],
+     "fba1507a674b202a531125c9dadfed75f982c762038a06bcfddfbc1cfc4e5275"),
+    (None, ["verify", "lambda", "--r", "2", "--k", "4", "--max-order", "9"],
+     "53733a81e92d23e7bdf01a5838813d441c1fe5acc3a1ac12e651ed924be663d7"),
+    (None, ["verify", "lemmas"],
+     "4d699781a7bb1e9f68921a11f27e00a4bde7b57b459f70af06f3ef5d8d11fd77"),
 ], ids=["analyze-groetzsch", "analyze-turan-9-3", "blowup-opt-groetzsch",
-        "extract-tripartite-sat-non-blowup", "thm2-r3"])
+        "extract-tripartite-sat-non-blowup", "extract-tripartite-sat-twin-free",
+        "extract-tripartite-turan-9-3", "thm2-r3", "thm1-r2", "lambda-r2-k4",
+        "lemmas"])
 def test_report_output_is_byte_stable(source, argv, digest):
     # the reports carry witnesses (twin classes, clique, colouring, weights,
     # parts) that no isomorphism-invariant assertion would catch changing

@@ -17,6 +17,7 @@ from turanlab.deficiency import (
     deficiency_search,
     optimal_blowup,
 )
+from turanlab import enumeration
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
@@ -106,6 +107,23 @@ def test_search_budget_flagging():
     assert res.examined == 3
 
 
+def test_budget_builds_no_level_past_the_one_it_runs_out_in(monkeypatch):
+    # orders 1-8 hold 582 triangle-free graphs, so a budget of 1000 runs
+    # out inside order 9 and orders 10 and 11 must never be built
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    build = enumeration._next_level
+
+    def next_level(parents, k, q):
+        if k >= 9:
+            raise AssertionError(f"order {k + 1} was built")
+        return build(parents, k, q)
+
+    monkeypatch.setattr(enumeration, "_next_level", next_level)
+    res = deficiency_search(2, 4, 11, node_budget=1000)
+    assert not res.complete and res.examined == 1000
+    assert len(enumeration._LEVELS[3]) == 9
+
+
 def test_search_rejects_a_negative_budget():
     with pytest.raises(ValueError, match="node budget must be >= 0"):
         deficiency_search(2, 3, 6, node_budget=-1)
@@ -157,5 +175,5 @@ def test_optimal_blowup_groetzsch_band():
     assert e == 187
     assert abs(e - (turan_number(30, 2) - 45)) <= 25
     # exact scaled gap against the leading-order bound
-    assert blowup_bound_gap_times_r(groetzsch_graph(), 30, e) == 2 * 187 - 2 * 225 + 3 * 30
+    assert blowup_bound_gap_times_r(2, 3, 30, e) == 2 * 187 - 2 * 225 + 3 * 30
 

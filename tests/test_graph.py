@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -225,6 +226,17 @@ def test_blow_up_rejects_zero_weight():
         blow_up(complete_graph(2), (0, 5))
     with pytest.raises(ValueError):
         blow_up(complete_graph(2), (1,))
+
+
+def test_blow_up_checks_the_order_before_it_allocates():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"order must be in 0\.\.4096, got 1000001"):
+            blow_up(complete_graph(2), (1, 10 ** 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a row list of the order would take 8 MB
 
 
 def test_blow_up_edge_multiplicativity():
