@@ -6,32 +6,42 @@ graph6 output is reproducible byte for byte.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
+from typing import Sequence
 
 from .graph import Graph, _check_order, bits, complete_multipartite
 
 
-def turan_class_sizes(n: int, r: int) -> list[int]:
-    """Class sizes of the balanced complete r-partite graph, descending."""
+def _balanced(n: int, r: int) -> tuple[int, int]:
+    """(q, rem): the balanced r-partition of n vertices has rem classes of
+    size q + 1 and r - rem of size q."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    q, rem = divmod(n, r)
+    return divmod(n, r)
+
+
+def turan_class_sizes(n: int, r: int) -> list[int]:
+    """Class sizes of the balanced complete r-partite graph, descending."""
+    q, rem = _balanced(n, r)
     return [q + 1] * rem + [q] * (r - rem)
 
 
 def turan_number(n: int, r: int) -> int:
-    """Edge count of the balanced complete r-partite graph on n vertices."""
-    sizes = turan_class_sizes(n, r)
-    return comb(n, 2) - sum(comb(s, 2) for s in sizes)
+    """Edge count of the balanced complete r-partite graph on n vertices,
+    in closed form, so no list of r class sizes is built."""
+    q, rem = _balanced(n, r)
+    return comb(n, 2) - rem * comb(q + 1, 2) - (r - rem) * comb(q, 2)
 
 
 def turan_graph(n: int, r: int) -> Graph:
     """Balanced complete r-partite graph; classes are consecutive vertex
-    blocks in decreasing size order."""
-    return complete_multipartite(turan_class_sizes(n, r))
+    blocks in decreasing size order.  Classes past the n-th are empty, so
+    every r >= n gives K_n, and r is capped at n before any sizes exist."""
+    _check_order(n)
+    return complete_multipartite(turan_class_sizes(n, min(r, max(n, 1))))
 
 
 def threshold_size(n: int, r: int) -> int:
@@ -47,6 +57,27 @@ def threshold_size(n: int, r: int) -> int:
     return turan_number(n, r) - 2
 
 
+def _blocks(sizes: Sequence[int]) -> list[list[int]]:
+    """Consecutive vertex blocks of the given sizes, from vertex 0 on."""
+    return [list(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes))]
+
+
+def _join(rows: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """Add every edge between the disjoint vertex lists ``a`` and ``b``."""
+    for x, y in ((a, b), (b, a)):
+        mask = sum(1 << v for v in y)
+        for v in x:
+            rows[v] |= mask
+
+
+def _cut(rows: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """Remove every edge between the disjoint vertex lists ``a`` and ``b``."""
+    for x, y in ((a, b), (b, a)):
+        mask = sum(1 << v for v in y)
+        for v in x:
+            rows[v] &= ~mask
+
+
 def _extremal_base(n: int, r: int) -> tuple[list[list[int]], int, int]:
     """Vertex classes of the balanced (n-1)-vertex r-partite base and the
     indices of the two attachment classes (W-host first).
@@ -56,30 +87,17 @@ def _extremal_base(n: int, r: int) -> tuple[list[list[int]], int, int]:
     smallest, for r+3 <= n <= 2r the two largest (of size 2).  When the
     two differ in size the host is the larger one.
     """
+    if r < 2:
+        raise ValueError("r must be >= 2")
     if n < r + 3:
         raise ValueError(f"need n >= r+3 = {r + 3}")
     _check_order(n)
-    sizes = turan_class_sizes(n - 1, r)
-    classes: list[list[int]] = []
-    off = 0
-    for s in sizes:
-        classes.append(list(range(off, off + s)))
-        off += s
+    classes = _blocks(turan_class_sizes(n - 1, r))
     if n >= 2 * r + 1:
         host, other = r - 2, r - 1  # two smallest; sizes[host] >= sizes[other]
     else:
         host, other = 0, 1  # two largest, both of size 2
     return classes, host, other
-
-
-def _add(rows: list[int], a: int, b: int) -> None:
-    rows[a] |= 1 << b
-    rows[b] |= 1 << a
-
-
-def _drop(rows: list[int], a: int, b: int) -> None:
-    rows[a] &= ~(1 << b)
-    rows[b] &= ~(1 << a)
 
 
 def extremal_graph(n: int, r: int) -> Graph:
@@ -104,9 +122,9 @@ def extremal_family(n: int, r: int, l: int, variant: str = "standard") -> Graph:
     Valid for 1 <= l <= floor(n/r) - 1; l = host size is rejected because
     joining u to a whole class gives an r-colourable graph.
     """
-    s = n // r
-    if not 1 <= l <= s - 1:
-        raise ValueError(f"l must be in 1..{s - 1}, got {l}")
+    # r < 2 is left to the shared base, which rejects it
+    if r >= 2 and not 1 <= l <= n // r - 1:
+        raise ValueError(f"l must be in 1..{n // r - 1}, got {l}")
     return _family_member(n, r, l, variant)
 
 
@@ -124,19 +142,13 @@ def _family_member(n: int, r: int, l: int, variant: str) -> Graph:
         # joining u to a whole class yields an r-colourable graph
         raise ValueError(f"l must be at most {len(classes[host]) - 1} "
                          f"for the {variant} variant at (n={n}, r={r})")
-    u = n - 1
+    # u starts joined to every base vertex and is cut from all of the
+    # two attachment classes but W and v2
+    rows = list(complete_multipartite([len(c) for c in classes] + [1]).rows)
     w_set = classes[host][:l]
-    v_other = classes[other][0]
-    g = complete_multipartite([len(c) for c in classes]).add_vertex(0)
-    rows = list(g.rows)
-    for i, c in enumerate(classes):
-        if i not in (host, other):
-            for v in c:
-                _add(rows, u, v)
-    for w in w_set:
-        _add(rows, u, w)
-        _drop(rows, v_other, w)
-    _add(rows, u, v_other)
+    v_other = classes[other][:1]
+    _cut(rows, [n - 1], classes[host][l:] + classes[other][1:])
+    _cut(rows, v_other, w_set)
     return Graph.from_rows(rows, check=False)
 
 
@@ -252,28 +264,14 @@ def three_sat_many_twin_classes(f: int, n: int) -> Graph:
     if rest < 2:
         raise ValueError(f"need n >= {f + 2 * p + 2} so both bulk sets are non-empty")
     _check_order(n)
-    u0 = f
-    w0 = f + p
-    up0 = f + 2 * p
-    nu = (rest + 1) // 2
-    wp0 = up0 + nu
-    edges = []
+    s, u, w, u_bulk, w_bulk = _blocks([f, p, p, (rest + 1) // 2, rest // 2])
+    rows = [0] * n
     for i in range(p):
-        for j in bits(i):
-            edges.append((u0 + i, j))
-            edges.append((w0 + i, j))
-        for j in range(p):
-            if i & j == 0:
-                edges.append((u0 + i, w0 + j))
-    for a in range(up0, wp0):
-        for b in range(wp0, n):
-            edges.append((a, b))  # U' x W'
-        for b in range(w0, w0 + p):
-            edges.append((a, b))  # U' x W
-    for a in range(u0, u0 + p):
-        for b in range(wp0, n):
-            edges.append((a, b))  # U x W'
-    return Graph(n, edges)
+        _join(rows, [u[i], w[i]], [s[j] for j in bits(i)])
+        _join(rows, [u[i]], [w[j] for j in range(p) if i & j == 0])
+    _join(rows, u_bulk, w_bulk + w)
+    _join(rows, u, w_bulk)
+    return Graph.from_rows(rows, check=False)
 
 
 def _half_subsets(m: int) -> list[tuple[int, ...]]:
@@ -285,21 +283,13 @@ def _wire_windows(rows: list[int], w1: list[int], w2: list[int],
     """Tamper the windows of one non-blow-up gadget: clear W1-W2, W1-W3
     and W2-W3, match W2[t] to W3[t], and join the i-th W1 vertex to the
     i-th half-subset of W2 positions and to the other positions of W3."""
-    m = len(w2)
-    for a in w1:
-        for b in w2 + w3:
-            _drop(rows, a, b)
-    for a in w2:
-        for b in w3:
-            _drop(rows, a, b)
-    for t in range(m):
-        _add(rows, w2[t], w3[t])
-    for widx, half in zip(w1, _half_subsets(m)):
-        for t in half:
-            _add(rows, widx, w2[t])
-        for t in range(m):
-            if t not in half:
-                _add(rows, widx, w3[t])
+    _cut(rows, w1, w2 + w3)
+    _cut(rows, w2, w3)
+    for a, b in zip(w2, w3):
+        _join(rows, [a], [b])
+    for v, half in zip(w1, _half_subsets(len(w2))):
+        _join(rows, [v], [w2[t] for t in half])
+        _join(rows, [v], [b for t, b in enumerate(w3) if t not in half])
 
 
 def sat_non_blowup(m: int, r: int, n: int) -> Graph:
@@ -318,29 +308,22 @@ def sat_non_blowup(m: int, r: int, n: int) -> Graph:
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
     _check_order(n)
+    # the windows must fit in the last, smallest base class: checked before
+    # the r class sizes are built, and m (at most its binomial) first
+    smallest = max(n - 1, 0) // r
+    if m > smallest or comb(m, m // 2) > smallest:
+        raise ValueError(f"classes of size {smallest} cannot host windows of "
+                         f"sizes C({m}, {m // 2}) and {m}")
     big_m = comb(m, m // 2)
     sizes = turan_class_sizes(n - 1, r)
-    if big_m > sizes[-1] or m > sizes[-1]:
-        raise ValueError(
-            f"classes of size {sizes[-1]} cannot host windows of sizes "
-            f"{big_m} and {m}")
-    classes = []
-    off = 0
-    for s in sizes:
-        classes.append(list(range(off, off + s)))
-        off += s
-    apex = n - 1
+    classes = _blocks(sizes)
     w1 = classes[0][:big_m]
     w2 = classes[1][:m]
     w3 = classes[2][:m]
-    g = complete_multipartite(sizes).add_vertex(0)
-    rows = list(g.rows)
-    for widx in (w1, w2, w3):
-        for v in widx:
-            _add(rows, apex, v)
-    for i in range(3, r):
-        for v in classes[i]:
-            _add(rows, apex, v)
+    # the apex starts joined to every base vertex and keeps, of the first
+    # three classes, only the windows
+    rows = list(complete_multipartite(sizes + [1]).rows)
+    _cut(rows, [n - 1], classes[0][big_m:] + classes[1][m:] + classes[2][m:])
     _wire_windows(rows, w1, w2, w3)
     return Graph.from_rows(rows, check=False)
 
@@ -362,34 +345,19 @@ def three_sat_twin_free(m: int) -> Graph:
         raise ValueError("m must be a power of two, at least 2")
     n = 2 * m + 4 * t
     _check_order(n)
-    s1 = list(range(0, t))
-    s2 = list(range(t, 2 * t))
-    u1 = list(range(2 * t, 3 * t))
-    u2 = list(range(3 * t, 4 * t))
-    b1 = list(range(4 * t, 4 * t + m))
-    b2 = list(range(4 * t + m, 4 * t + 2 * m))
-    edges = []
-    for a in s1:
-        for b in s2:
-            edges.append((a, b))
-    for a in u1:
-        for b in u2:
-            edges.append((a, b))
-    for a in b1:
-        for b in b2:
-            edges.append((a, b))
+    s1, s2, u1, u2, b1, b2 = _blocks([t, t, t, t, m, m])
+    rows = [0] * n
+    _join(rows, s1, s2)
+    _join(rows, u1, u2)
+    _join(rows, b1, b2)
     for i in range(m):
-        for j in bits(i):
-            edges.append((b1[i], s2[j]))
-            edges.append((b2[i], s1[j]))
+        _join(rows, [b1[i]], [s2[j] for j in bits(i)])
+        _join(rows, [b2[i]], [s1[j] for j in bits(i)])
     for j in range(t):
-        edges.append((u1[j], s1[j]))
-        edges.append((u2[j], s2[j]))
-        for i in range(m):
-            if not (i >> j) & 1:
-                edges.append((u1[j], b2[i]))
-                edges.append((u2[j], b1[i]))
-    return Graph(n, edges)
+        avoiding = [i for i in range(m) if not (i >> j) & 1]
+        _join(rows, [u1[j]], [s1[j]] + [b2[i] for i in avoiding])
+        _join(rows, [u2[j]], [s2[j]] + [b1[i] for i in avoiding])
+    return Graph.from_rows(rows, check=False)
 
 
 def sat_twin_free(m: int, r: int) -> Graph:
@@ -410,23 +378,18 @@ def sat_twin_free(m: int, r: int) -> Graph:
     cls = big_m + 2 * m
     n = r * (cls + 1)
     _check_order(n)
-    classes = [list(range(i * cls, (i + 1) * cls)) for i in range(r)]
-    hubs = [r * cls + i for i in range(r)]
-    g = complete_multipartite([cls] * r)
-    for _ in range(r):
-        g = g.add_vertex(0)
-    rows = list(g.rows)
-    for i in range(r):
+    classes = _blocks([cls] * r)
+    hubs = range(r * cls, n)
+    rows = list(complete_multipartite([cls] * r).rows) + [0] * r
+    for i, hub in enumerate(hubs):
         w1 = classes[i][:big_m]
         w2 = classes[(i + 1) % r][big_m:big_m + m]
         w3 = classes[(i + 2) % r][big_m + m:big_m + 2 * m]
         _wire_windows(rows, w1, w2, w3)
-        for v in w1 + w2 + w3:
-            _add(rows, hubs[i], v)
+        _join(rows, [hub], w1 + w2 + w3)
         for k in range(r):
-            if k not in ((i) % r, (i + 1) % r, (i + 2) % r):
-                for v in classes[k]:
-                    _add(rows, hubs[i], v)
+            if k not in (i, (i + 1) % r, (i + 2) % r):
+                _join(rows, [hub], classes[k])
     # greedy hub edges, keeping the graph K_{r+1}-free: the graph is
     # K_{r+1}-free before each edge, so only a K_{r+1} through the new
     # edge, a K_{r-1} among the common neighbours, can arise
@@ -436,5 +399,5 @@ def sat_twin_free(m: int, r: int) -> Graph:
         for j in range(i + 1, r):
             g = Graph.from_rows(rows, check=False)
             if find_clique(g, r - 1, within=rows[hubs[i]] & rows[hubs[j]]) is None:
-                _add(rows, hubs[i], hubs[j])
+                _join(rows, [hubs[i]], [hubs[j]])
     return Graph.from_rows(rows, check=False)

@@ -20,7 +20,13 @@ from typing import Iterator, Sequence
 
 from .enumeration import enumerate_graphs
 from .graph import Graph, _relabel_rows, bits, to_graph6
-from .invariants import CliquePresentError, _best_clique, clique_number, is_r_colorable
+from .invariants import (
+    CliquePresentError,
+    _best_clique,
+    clique_number,
+    find_clique,
+    is_r_colorable,
+)
 from .constructions import turan_number
 
 
@@ -44,15 +50,17 @@ class DeficiencySearchResult:
     examined: int
 
 
-def _max_degree_sum_clique(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
+def _max_degree_sum_clique(g: Graph, r: int) -> tuple[int, tuple[int, ...]] | None:
     """Maximum of sum(deg) over r-cliques, with a witness: the first
     maximiser in (-deg, v) order, found by the clique kernel on the rows
-    relabelled into that order."""
+    relabelled into that order.  None when g has no r-clique."""
     degs = g.degrees()
     order = sorted(range(g.n), key=lambda v: (-degs[v], v))
     rows = _relabel_rows(g.rows, order)
     weight = [degs[v] for v in order]
     best = _best_clique(rows, (1 << g.n) - 1, r, weight)
+    if best is None:
+        return None
     return sum(weight[i] for i in best), tuple(sorted(order[i] for i in best))
 
 
@@ -60,11 +68,13 @@ def deficiency(g: Graph, r: int) -> DeficiencyReport:
     """Exact blow-up deficiency at rank ``r``; requires clique number
     exactly r (a witness rides along on failure).  Both defining formulas
     are evaluated and must agree."""
-    w, witness = clique_number(g)
-    if w != r:
+    best = _max_degree_sum_clique(g, r)
+    if best is None or find_clique(g, r + 1) is not None:
+        # only the failure needs the clique number, for its message and witness
+        w, witness = clique_number(g)
         raise CliquePresentError(
             f"clique number is {w}, not {r}", witness)
-    deg_sum, cliq = _max_degree_sum_clique(g, r)
+    deg_sum, cliq = best
     value = (r - 1) * g.n - deg_sum
     cmask = 0
     for v in cliq:
@@ -136,9 +146,9 @@ def deficiency_search(r: int, k: int, max_order: int,
 
 
 def _qualify(g: Graph, r: int, k: int) -> DeficiencyReport | None:
-    """Deficiency report when g has clique number r and chi >= k."""
-    w, _ = clique_number(g)
-    if w != r:
+    """Deficiency report when g, from a K_{r+1}-free level, has clique
+    number r and chi >= k."""
+    if find_clique(g, r) is None:
         return None
     # cheapest-first chromatic filter: chi >= k iff not (k-1)-colourable
     ok, _ = is_r_colorable(g, k - 1)

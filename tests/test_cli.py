@@ -269,6 +269,26 @@ def test_oversize_construction_is_usage_error(argv):
     assert proc.stderr.startswith("error: order must be in 0..4096, got ")
 
 
+@pytest.mark.parametrize("r", ["5", "7", "100000000"])
+def test_turan_with_more_classes_than_vertices_is_complete(r):
+    # the classes past the fifth are empty; none of them may be allocated
+    proc = subprocess.run([sys.executable, "-m", "turanlab.cli", "construct",
+                           "turan", "--n", "5", "--r", r],
+                          capture_output=True, text=True,
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "D~{\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--n", "5", "--r", "1"],
+    ["family", "--n", "6", "--r", "1", "--l", "2"],
+    ["family", "--n", "6", "--r", "0"],
+], ids=["extremal", "family", "family-r0"])
+def test_extremal_rank_below_two_is_usage_error(argv):
+    code, out, err = run_cli(["construct", *argv])
+    assert (code, out, err) == (2, "", "error: r must be >= 2\n")
+
+
 def test_out_of_memory_is_resource_error(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError

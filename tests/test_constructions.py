@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from math import comb
 
 import pytest
@@ -17,7 +19,7 @@ from turanlab.constructions import (
     turan_graph,
     turan_number,
 )
-from turanlab.graph import Graph, cycle_graph, twin_classes
+from turanlab.graph import Graph, complete_graph, cycle_graph, to_graph6, twin_classes
 from turanlab.invariants import (
     chromatic_number,
     clique_number,
@@ -226,3 +228,78 @@ def test_sat_twin_free_hub_edges_follow_the_full_graph_rule():
                         rows[j] &= ~(1 << i)
             assert tuple(rows) == g.rows, (m, r)
             assert is_clique_free(g, r + 1), (m, r)
+
+
+def _family_grid():
+    """(builder, arguments) over a grid of every parameterised family,
+    accepted and rejected sets alike, with r >= 2 throughout."""
+    for n in range(30):
+        for r in range(2, 9):
+            yield turan_graph, (n, r)
+            yield extremal_graph, (n, r)
+            for l in range(8):
+                for variant in ("standard", "prime"):
+                    yield extremal_family, (n, r, l, variant)
+    for f in range(-1, 4):
+        for n in range(72):
+            yield three_sat_many_twin_classes, (f, n)
+    for m in range(9):
+        for r in range(2, 6):
+            for n in (20, 40, 60, 120):
+                yield sat_non_blowup, (m, r, n)
+        yield three_sat_twin_free, (m,)
+    for m in range(7):
+        for r in range(2, 6):
+            yield sat_twin_free, (m, r)
+    for include_empty in (True, False):
+        yield trianglefree_5chromatic, (include_empty,)
+
+
+def test_family_grid_is_pinned():
+    # one line per parameter set: its graph6, or ValueError where it is
+    # rejected; the digest was taken before the builders shared one block
+    # layout and one join primitive, so every labelling and every
+    # rejection must have stayed as it was
+    lines = []
+    for build, args in _family_grid():
+        try:
+            out = to_graph6(build(*args))
+        except ValueError:
+            out = "ValueError"
+        lines.append(f"{build.__name__}{args} {out}")
+    assert len(lines) == 4323
+    assert sum(not line.endswith("ValueError") for line in lines) == 1166
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "9be471004bbfc0ce2bbbe6151d5aa8f13b4179591ed61de1c2d1a5de85c57d0b"
+
+
+@pytest.mark.parametrize("build,args", [
+    (extremal_graph, (5, 1)),
+    (extremal_family, (6, 1, 2)),
+    (extremal_family, (6, 0, 2)),
+    (extremal_family, (6, -1, 2)),
+])
+def test_extremal_builders_reject_r_below_two(build, args):
+    # at r = 1 the two attachment classes would be one and the same class
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        build(*args)
+
+
+@pytest.mark.parametrize("build,args,expected", [
+    (turan_graph, (5, 10 ** 6), complete_graph(5)),
+    (turan_graph, (0, 10 ** 6), Graph(0)),
+    (turan_number, (5, 10 ** 6), 10),
+    (sat_non_blowup, (2, 10 ** 6, 20), ValueError),
+], ids=["turan-graph", "turan-graph-order-0", "turan-number", "sat-non-blowup"])
+def test_huge_r_is_bounded_before_it_allocates(build, args, expected):
+    tracemalloc.start()
+    try:
+        try:
+            value = build(*args)
+        except ValueError as exc:
+            value = type(exc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 1 << 20  # a list of r class sizes would take 8 MB

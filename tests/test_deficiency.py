@@ -1,3 +1,4 @@
+import importlib
 from itertools import combinations
 
 import pytest
@@ -67,6 +68,40 @@ def test_formula_agreement_exhaustive():
             if w >= 1:
                 rep = deficiency(g, w)
                 assert rep.value >= 0
+
+
+def _deficiency_oracle(g, r):
+    """(value, clique, per-vertex deficiencies) by trying every r-set:
+    the first heaviest clique in (-deg, v) order, as deficiency documents."""
+    degs = g.degrees()
+    order = sorted(range(g.n), key=lambda v: (-degs[v], v))
+    best = None
+    for picked in combinations(order, r):
+        if all(g.has_edge(u, v) for u, v in combinations(picked, 2)):
+            weight = sum(degs[v] for v in picked)
+            if best is None or weight > best[0]:
+                best = (weight, tuple(sorted(picked)))
+    per_vertex = tuple(r - 1 - sum(g.has_edge(v, c) for c in best[1])
+                       for v in range(g.n))
+    return (r - 1) * g.n - best[0], best[1], per_vertex
+
+
+def test_deficiency_needs_no_clique_number_when_it_succeeds(monkeypatch):
+    # clique number r is proved by the r-clique found and the missing
+    # (r+1)-clique; the full maximum clique is for the failure message
+    cases = [(g, clique_number(g)[0]) for n in range(1, 8) for g in enumerate_graphs(n)]
+    expected_search = deficiency_search(2, 3, 7)
+
+    def unused(g):
+        raise AssertionError("clique_number called on the success path")
+
+    # the package exports the function under the module's name
+    module = importlib.import_module("turanlab.deficiency")
+    monkeypatch.setattr(module, "clique_number", unused)
+    for g, w in cases:
+        rep = deficiency(g, w)
+        assert (rep.value, rep.clique, rep.deficiencies) == _deficiency_oracle(g, w)
+    assert deficiency_search(2, 3, 7) == expected_search
 
 
 def test_lower_bound():
