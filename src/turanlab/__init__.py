@@ -15,12 +15,7 @@ from .constructions import (
     turan_graph,
     turan_number,
 )
-from .deficiency import (
-    deficiency,
-    deficiency_lower_bound,
-    deficiency_search,
-    optimal_blowup,
-)
+from .deficiency import deficiency, deficiency_lower_bound, optimal_blowup
 from .enumeration import (
     EnumerationLimitError,
     EnumerationWorkerError,
@@ -66,5 +61,6 @@ from .tripartite import (
     extract_tripartite,
     validate_certificate,
 )
+from .verify import deficiency_search
 
 __version__ = "0.1.0"

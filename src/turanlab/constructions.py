@@ -10,7 +10,8 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Sequence
 
-from .graph import Graph, _check_order, bits, complete_multipartite
+from .graph import MAX_ORDER, Graph, _check_order, bits, complete_multipartite
+from .invariants import find_clique
 
 
 def _balanced(n: int, r: int) -> tuple[int, int]:
@@ -257,8 +258,10 @@ def three_sat_many_twin_classes(f: int, n: int) -> Graph:
     """
     if f < 0:
         raise ValueError("f must be >= 0")
-    if n <= 4 ** f:
-        raise ValueError(f"need n > 4^f = {4 ** f} (f below half the log)")
+    # n <= 4^f, decided from bit lengths so no power of a huge f is built
+    if n <= 1 or (n - 1).bit_length() <= 2 * f:
+        power = f" = {4 ** f}" if f <= 16 else ""  # written out while short
+        raise ValueError(f"need n > 4^f{power} (f below half the log)")
     p = 1 << f
     rest = n - f - 2 * p
     if rest < 2:
@@ -374,6 +377,11 @@ def sat_twin_free(m: int, r: int) -> Graph:
         raise ValueError("r must be >= 3")
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
+    # C(m, m/2) >= 2, so n >= least; checked first so that a huge m never
+    # reaches the binomial
+    least = r * (2 * m + 3)
+    if least > MAX_ORDER:
+        raise ValueError(f"order must be in 0..{MAX_ORDER}, got at least {least}")
     big_m = comb(m, m // 2)
     cls = big_m + 2 * m
     n = r * (cls + 1)
@@ -393,8 +401,6 @@ def sat_twin_free(m: int, r: int) -> Graph:
     # greedy hub edges, keeping the graph K_{r+1}-free: the graph is
     # K_{r+1}-free before each edge, so only a K_{r+1} through the new
     # edge, a K_{r-1} among the common neighbours, can arise
-    from .invariants import find_clique
-
     for i in range(r):
         for j in range(i + 1, r):
             g = Graph.from_rows(rows, check=False)

@@ -7,10 +7,9 @@ exactly on complete multipartite graphs and controls the edge count of
 optimal blow-ups: the best blow-up to order n has
 t_{n,r} - deficiency*n/r + O(1) edges.
 
-This module computes the deficiency exactly, searches for its minimum
-over all K_{r+1}-free graphs with clique number r and chromatic number at
-least k up to a given order, and optimises integer blow-up weights
-exactly.
+This module computes the deficiency exactly and optimises integer
+blow-up weights exactly; the search for its minimum over enumerated
+graphs is ``verify.deficiency_search``.
 """
 
 from __future__ import annotations
@@ -18,15 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .enumeration import enumerate_graphs
-from .graph import Graph, _relabel_rows, bits, to_graph6
-from .invariants import (
-    CliquePresentError,
-    _best_clique,
-    clique_number,
-    find_clique,
-    is_r_colorable,
-)
+from .graph import Graph, _relabel_rows, bits
+from .invariants import CliquePresentError, _best_clique, clique_number, find_clique
 from .constructions import turan_number
 
 
@@ -36,18 +28,6 @@ class DeficiencyReport:
     value: int
     clique: tuple[int, ...]
     deficiencies: tuple[int, ...]  # r - 1 - deg_C(v) per vertex
-
-
-@dataclass(frozen=True)
-class DeficiencySearchResult:
-    r: int
-    k: int
-    max_order: int
-    value: int | None           # None: no qualifying graph in range
-    minimal_order: int | None   # smallest order attaining ``value``
-    witnesses: tuple[str, ...]  # graph6 of the minimal-order attainers
-    complete: bool              # False when the node budget ran out
-    examined: int
 
 
 def _max_degree_sum_clique(g: Graph, r: int) -> tuple[int, tuple[int, ...]] | None:
@@ -93,68 +73,6 @@ def deficiency_lower_bound(r: int, k: int) -> int:
     if not 2 <= r <= k:
         raise ValueError("need k >= r >= 2")
     return max(k - r, 0)
-
-
-def deficiency_search(r: int, k: int, max_order: int,
-                      node_budget: int | None = None) -> DeficiencySearchResult:
-    """Exact minimum deficiency over all graphs of order <= max_order with
-    clique number r and chromatic number >= k.  The result is an upper
-    bound for the unrestricted minimum; it is never claimed global here.
-
-    ``node_budget`` caps the number of enumerated graphs examined; an
-    exhausted budget yields a result flagged incomplete.
-    """
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be >= 0, not {node_budget}")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    best: int | None = None
-    minimal_order: int | None = None
-    witnesses: list[str] = []
-    examined = 0
-    complete = True
-    lb = deficiency_lower_bound(r, k)
-    # each level is built when it is reached, so a budget that runs out
-    # builds no level past the one it ran out in
-    for m in range(1, max_order + 1):
-        if node_budget is not None and examined >= node_budget:
-            complete = False
-            break
-        for g in enumerate_graphs(m, r + 1):
-            if node_budget is not None and examined >= node_budget:
-                complete = False
-                break
-            examined += 1
-            if best is not None and best == lb and minimal_order is not None \
-                    and g.n > minimal_order:
-                # cannot improve the value and larger orders cannot improve
-                # the minimal realizing order
-                continue
-            rep = _qualify(g, r, k)
-            if rep is None:
-                continue
-            if best is None or rep.value < best:
-                best = rep.value
-                minimal_order = g.n
-                witnesses = [to_graph6(g)]
-            elif rep.value == best and g.n == minimal_order:
-                witnesses.append(to_graph6(g))
-    return DeficiencySearchResult(
-        r=r, k=k, max_order=max_order, value=best,
-        minimal_order=minimal_order, witnesses=tuple(witnesses),
-        complete=complete, examined=examined)
-
-
-def _qualify(g: Graph, r: int, k: int) -> DeficiencyReport | None:
-    """Deficiency report when g, from a K_{r+1}-free level, has clique
-    number r and chi >= k."""
-    if find_clique(g, r) is None:
-        return None
-    # cheapest-first chromatic filter: chi >= k iff not (k-1)-colourable
-    ok, _ = is_r_colorable(g, k - 1)
-    if ok:
-        return None
-    return deficiency(g, r)
 
 
 # -- blow-up optimisation ----------------------------------------------------

@@ -401,7 +401,13 @@ def chromatic_number(g: Graph, node_budget: int | None = None
     """Exact chromatic number with witness.  With a node budget, an
     exhausted search raises ``SearchBudgetExceeded`` carrying the bounds
     established so far instead of returning a wrong answer."""
-    lower, _ = clique_number(g)
+    return _chromatic_number(g, clique_number(g)[0], node_budget)
+
+
+def _chromatic_number(g: Graph, lower: int, node_budget: int | None = None
+                      ) -> tuple[int, Coloring]:
+    """``chromatic_number`` for a caller that already has the clique
+    number ``lower``."""
     greedy = dsatur_coloring(g)
     upper = greedy.palette
     budget = _Budget(node_budget)

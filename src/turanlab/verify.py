@@ -19,16 +19,14 @@ from .constructions import (
     trianglefree_5chromatic,
     turan_number,
 )
-from .deficiency import (
-    deficiency,
-    deficiency_lower_bound,
-    deficiency_search,
-)
+from .deficiency import DeficiencyReport, deficiency, deficiency_lower_bound
 from .enumeration import enumerate_graphs, levels_up_to
 from .graph import Graph, bits, to_graph6, twin_classes
 from .invariants import (
+    _chromatic_number,
     chromatic_number,
     clique_number,
+    find_clique,
     is_clique_free,
     is_r_colorable,
 )
@@ -47,29 +45,33 @@ def _revalidate_extremal(g: Graph, r: int, size: int) -> None:
         raise AssertionError(f"extremal witness is {r}-colourable")
 
 
+def _threshold_case(r: int, n: int) -> tuple[int, list[Graph], int, int]:
+    """One scan of the order-n K_{r+1}-free level: the maximum size of a
+    non-r-colourable graph (-1 when there is none), every graph of that
+    size in level order, re-validated, the threshold and the level size."""
+    predicted = threshold_size(n, r)
+    level = enumerate_graphs(n, r + 1)
+    best = -1
+    witnesses: list[Graph] = []
+    for g in level:
+        if g.edge_count < best or is_r_colorable(g, r)[0]:
+            continue
+        if g.edge_count > best:
+            best = g.edge_count
+            witnesses = []
+        witnesses.append(g)
+    for w in witnesses:
+        _revalidate_extremal(w, r, best)
+    return best, witnesses, predicted, len(level)
+
+
 def verify_threshold(r: int, n_values: Iterable[int]) -> dict:
     """For each order, the maximum size of an enumerated K_{r+1}-free
     non-r-colourable graph must equal the closed-form threshold."""
     cases = []
     ok = True
     for n in n_values:
-        predicted = threshold_size(n, r)
-        best = -1
-        witnesses: list[Graph] = []
-        examined = 0
-        for g in enumerate_graphs(n, r + 1):
-            examined += 1
-            if g.edge_count < best:
-                continue
-            if is_r_colorable(g, r)[0]:
-                continue
-            if g.edge_count > best:
-                best = g.edge_count
-                witnesses = [g]
-            else:
-                witnesses.append(g)
-        for w in witnesses:
-            _revalidate_extremal(w, r, best)
+        best, witnesses, predicted, examined = _threshold_case(r, n)
         match = best == predicted
         ok = ok and match
         cases.append({
@@ -99,14 +101,13 @@ def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[int, st
 
 
 def classify_extremal(r: int, n: int) -> dict:
-    """Every extremal graph must be isomorphic to a family member."""
-    predicted = threshold_size(n, r)
+    """Every extremal graph must be isomorphic to a family member.  When
+    the maximum misses the threshold there are no extremal graphs of the
+    predicted size, and the check fails."""
+    best, extremal, predicted, _ = _threshold_case(r, n)
+    if best != predicted:
+        extremal = []
     inventory = family_inventory(n, r)
-    extremal: list[Graph] = []
-    for g in enumerate_graphs(n, r + 1):
-        if g.edge_count == predicted and not is_r_colorable(g, r)[0]:
-            _revalidate_extremal(g, r, predicted)
-            extremal.append(g)
     matched = []
     unexplained = []
     for g in extremal:
@@ -167,6 +168,68 @@ def _gadget_claims(r: int, k: int) -> dict | None:
     }
 
 
+def deficiency_search(r: int, k: int, max_order: int,
+                      node_budget: int | None = None) -> dict:
+    """Exact minimum deficiency over all graphs of order <= max_order with
+    clique number r and chromatic number >= k, as the report's ``search``
+    object.  The value is an upper bound for the unrestricted minimum; it
+    is never claimed global here.
+
+    Levels are taken one at a time, each built only when it is reached.
+    ``node_budget`` caps the graphs examined: the level it runs out in is
+    cut there, no later level is built and the search is flagged
+    incomplete.  Once the value reaches the lower bound, no later level
+    can improve it or its minimal order, so those levels are counted
+    without being tested.
+    """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, not {node_budget}")
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    lb = deficiency_lower_bound(r, k)
+    best: int | None = None
+    minimal_order: int | None = None
+    witnesses: list[str] = []
+    examined = 0
+    complete = True
+    for m in range(1, max_order + 1):
+        left = None if node_budget is None else node_budget - examined
+        if left == 0:  # spent exactly at the end of the last level
+            complete = False
+            break
+        level = enumerate_graphs(m, r + 1)
+        if left is not None and left < len(level):
+            level = level[:left]
+            complete = False
+        examined += len(level)
+        if best == lb:  # reached at a lower order: nothing here improves it
+            continue
+        for g in level:
+            rep = _qualify(g, r, k)
+            if rep is None:
+                continue
+            if best is None or rep.value < best:
+                best = rep.value
+                minimal_order = m
+                witnesses = [to_graph6(g)]
+            elif rep.value == best and m == minimal_order:
+                witnesses.append(to_graph6(g))
+    return {"max_order": max_order, "value": best, "minimal_order": minimal_order,
+            "witnesses": witnesses, "complete": complete, "examined": examined}
+
+
+def _qualify(g: Graph, r: int, k: int) -> DeficiencyReport | None:
+    """Deficiency report when g, from a K_{r+1}-free level, has clique
+    number r and chi >= k."""
+    if find_clique(g, r) is None:
+        return None
+    # cheapest-first chromatic filter: chi >= k iff not (k-1)-colourable
+    ok, _ = is_r_colorable(g, k - 1)
+    if ok:
+        return None
+    return deficiency(g, r)
+
+
 def deficiency_table(r: int, k: int, max_order: int | None = None,
                      node_budget: int | None = None) -> dict:
     """Lower bound, gadget upper bound, and (optionally) the exhaustive
@@ -187,22 +250,15 @@ def deficiency_table(r: int, k: int, max_order: int | None = None,
     upper = gadget["deficiency"] if gadget else None
     ok = True
     if max_order is not None:
-        sr = deficiency_search(r, k, max_order, node_budget=node_budget)
-        result["search"] = {
-            "max_order": sr.max_order,
-            "value": sr.value,
-            "minimal_order": sr.minimal_order,
-            "witnesses": list(sr.witnesses),
-            "complete": sr.complete,
-            "examined": sr.examined,
-        }
-        ok = ok and sr.complete
-        if sr.value is not None:
-            if sr.value < lower:
+        search = result["search"] = deficiency_search(r, k, max_order, node_budget)
+        value = search["value"]
+        ok = search["complete"]
+        if value is not None:
+            if value < lower:
                 raise AssertionError(
-                    f"search minimum {sr.value} is below the lower bound {lower}")
-            if sr.complete and (upper is None or sr.value < upper):
-                upper = sr.value
+                    f"search minimum {value} is below the lower bound {lower}")
+            if ok and (upper is None or value < upper):
+                upper = value
     # a global value is only claimed when the verified bounds pinch; a bare
     # search minimum stays an upper bound for the range it covered
     result["upper_bound"] = upper
@@ -217,12 +273,18 @@ def deficiency_table(r: int, k: int, max_order: int | None = None,
 
 # -- property-based lemma suite ---------------------------------------------
 
+# largest order of the all-graph and the triangle-free lemma checks, and the
+# part size of the exhaustive tripartite check
+_ALL_GRAPHS_ORDER = 7
+_TRIANGLE_FREE_ORDER = 9
+_TRIPARTITE_PART = 2
 
-def check_symmetrization_identities(max_order: int = 7) -> dict:
+
+def check_symmetrization_identities() -> dict:
     """omega and chi of the symmetrized graph equal those of the graph
     with the replaced vertex deleted, for every graph and vertex pair."""
     checked = 0
-    for g in _all_graphs_up_to(max_order):
+    for g in _all_graphs_up_to(_ALL_GRAPHS_ORDER, None):
         n = g.n
         for u in range(n):
             rest = [x for x in range(n) if x != u]
@@ -238,16 +300,16 @@ def check_symmetrization_identities(max_order: int = 7) -> dict:
                 if chromatic_number(z)[0] != chi_del:
                     return _fail("chi identity", g, (u, v))
                 checked += 1
-    return {"name": "symmetrization-identities", "max_order": max_order,
+    return {"name": "symmetrization-identities", "max_order": _ALL_GRAPHS_ORDER,
             "checked": checked, "ok": True}
 
 
-def check_turan_pointwise(max_order: int = 7) -> dict:
+def check_turan_pointwise() -> dict:
     """zykov_reduce never loses edges and lands at or below the balanced
     multipartite count for the clique number: the classical size bound,
     reproved pointwise."""
     checked = 0
-    for g in _all_graphs_up_to(max_order):
+    for g in _all_graphs_up_to(_ALL_GRAPHS_ORDER, None):
         w = clique_number(g)[0]
         reduced, _ = zykov_reduce(g)
         if not (g.edge_count <= reduced.edge_count <= turan_number(g.n, w)):
@@ -260,47 +322,46 @@ def check_turan_pointwise(max_order: int = 7) -> dict:
                 if not reduced.has_edge(blocks[i][0], blocks[j][0]):
                     return _fail("not complete multipartite", g, (i, j))
         checked += 1
-    return {"name": "turan-pointwise", "max_order": max_order,
+    return {"name": "turan-pointwise", "max_order": _ALL_GRAPHS_ORDER,
             "checked": checked, "ok": True}
 
 
-def check_min_degree_bound(max_order: int = 9) -> dict:
+def check_min_degree_bound() -> dict:
     """Every triangle-free non-bipartite graph has a vertex of degree at
     most 2n/5."""
     checked = 0
-    for level in levels_up_to(max_order, forbidden_clique=3):
-        for g in level:
-            if g.n < 3 or is_r_colorable(g, 2)[0]:
-                continue
-            if min(g.degrees()) * 5 > 2 * g.n:
-                return _fail("degree bound", g, ())
-            checked += 1
-    return {"name": "min-degree-bound", "max_order": max_order,
+    for g in _all_graphs_up_to(_TRIANGLE_FREE_ORDER, 3):
+        if g.n < 3 or is_r_colorable(g, 2)[0]:
+            continue
+        if min(g.degrees()) * 5 > 2 * g.n:
+            return _fail("degree bound", g, ())
+        checked += 1
+    return {"name": "min-degree-bound", "max_order": _TRIANGLE_FREE_ORDER,
             "checked": checked, "ok": True}
 
 
-def check_small_window_colorable(max_order: int = 9) -> dict:
+def check_small_window_colorable() -> dict:
     """A triangle-free graph with an adjacent pair missing at most two
     common non-neighbours is 3-colourable."""
     checked = 0
-    for level in levels_up_to(max_order, forbidden_clique=3):
-        for g in level:
-            n = g.n
-            has_pair = any(
-                n - g.degree(u) - g.degree(v) <= 2
-                for u, v in g.edges())
-            if not has_pair:
-                continue
-            if not is_r_colorable(g, 3)[0]:
-                return _fail("small window not 3-colourable", g, ())
-            checked += 1
-    return {"name": "small-window-colourable", "max_order": max_order,
+    for g in _all_graphs_up_to(_TRIANGLE_FREE_ORDER, 3):
+        n = g.n
+        has_pair = any(
+            n - g.degree(u) - g.degree(v) <= 2
+            for u, v in g.edges())
+        if not has_pair:
+            continue
+        if not is_r_colorable(g, 3)[0]:
+            return _fail("small window not 3-colourable", g, ())
+        checked += 1
+    return {"name": "small-window-colourable", "max_order": _TRIANGLE_FREE_ORDER,
             "checked": checked, "ok": True}
 
 
-def check_trifree_tripartite_bound(m: int = 2) -> dict:
+def check_trifree_tripartite_bound() -> dict:
     """Exhaustive: every triangle-free tripartite graph with parts
     (m, m, m) misses at least ceil(m^2/4) of the balanced count."""
+    m = _TRIPARTITE_PART
     bound = turan_number(3 * m, 3) - (m * m + 3) // 4
     best = -1
     pairs = [(i, j) for i in range(m) for j in range(m)]
@@ -324,8 +385,9 @@ def check_trifree_tripartite_bound(m: int = 2) -> dict:
             "bound": bound, "labeled_graphs": checked, "ok": ok}
 
 
-def _all_graphs_up_to(max_order: int) -> Iterable[Graph]:
-    for level in levels_up_to(max_order):
+def _all_graphs_up_to(max_order: int, q: int | None) -> Iterable[Graph]:
+    """Every graph of order 1..max_order, K_q-free unless q is None."""
+    for level in levels_up_to(max_order, q):
         yield from level
 
 
@@ -360,7 +422,7 @@ def analyze_graph(g: Graph, r: int | None = None, q: int | None = None) -> dict:
     from .saturation import is_saturated
 
     w, wit = clique_number(g)
-    chi, col = chromatic_number(g)
+    chi, col = _chromatic_number(g, w)
     tc = twin_classes(g)
     rr = w if r is None else r
     qq = (rr + 1) if q is None else q

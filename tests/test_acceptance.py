@@ -28,7 +28,6 @@ from turanlab.deficiency import (
     blowup_edge_count,
     deficiency,
     deficiency_lower_bound,
-    deficiency_search,
     optimal_blowup,
 )
 from turanlab.enumeration import enumerate_graphs, levels_up_to
@@ -49,7 +48,7 @@ from turanlab.invariants import (
 from turanlab.saturation import is_saturated
 from turanlab.symmetrization import zykov, zykov_reduce
 from turanlab.tripartite import extract_tripartite, validate_certificate
-from turanlab.verify import classify_extremal, deficiency_table
+from turanlab.verify import classify_extremal, deficiency_search, deficiency_table
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -99,13 +98,13 @@ def test_criterion_3_deficiency_pinches():
     assert deficiency(groetzsch_graph(), 2).value == 3
 
     empty = deficiency_search(2, 4, 10)
-    assert empty.complete and empty.value is None
+    assert empty["complete"] and empty["value"] is None
 
     found = deficiency_search(2, 4, 11)
-    assert found.complete and found.value == 3
-    assert found.minimal_order == 11
+    assert found["complete"] and found["value"] == 3
+    assert found["minimal_order"] == 11
     assert any(are_isomorphic(from_graph6(w), groetzsch_graph())
-               for w in found.witnesses)
+               for w in found["witnesses"])
 
     table35 = deficiency_table(3, 5)
     assert table35["pinched"] and table35["global_value"] == 2

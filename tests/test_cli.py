@@ -269,6 +269,16 @@ def test_oversize_construction_is_usage_error(argv):
     assert proc.stderr.startswith("error: order must be in 0..4096, got ")
 
 
+def test_huge_twin_free_m_is_rejected_before_the_binomial():
+    # C(2000000, 1000000) alone takes minutes; the order is bounded below by
+    # r * (2m + 3) and rejected from that bound first
+    proc = subprocess.run([sys.executable, "-m", "turanlab.cli", "construct",
+                           "sat-twin-free", "--m", "2000000", "--r", "3"],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: order must be in 0..4096, got at least 12000009\n"
+
+
 @pytest.mark.parametrize("r", ["5", "7", "100000000"])
 def test_turan_with_more_classes_than_vertices_is_complete(r):
     # the classes past the fifth are empty; none of them may be allocated
@@ -359,6 +369,9 @@ def test_enumerate_output_is_byte_stable(argv, digest):
      "f605e2a9c9b60794c1084b1b094c604253852978773c0f0c941485147ae9a40e"),
     (["construct", "turan", "--n", "9", "--r", "3"], ["extract-tripartite"],
      "42bba64f61f08147fa3aaddddefad0dd7c29ab3ac33e91731643befbfcf9cd97"),
+    (["construct", "sat-twin-free", "--m", "4", "--r", "3"],
+     ["extract-tripartite", "--C-param", "3"],
+     "08acbd1b49ff9967743e44636dfcc057b40917bf5f423718f57b1a2da6228467"),
     (None, ["verify", "thm2", "--r", "3", "--n", "7..8"],
      "3d0028557b728ab6bc7dbf4c45c6f10ea93ba9cee412a4eccc592ffdc8438780"),
     (None, ["verify", "thm1", "--r", "2", "--n", "5..9"],
@@ -369,8 +382,8 @@ def test_enumerate_output_is_byte_stable(argv, digest):
      "4d699781a7bb1e9f68921a11f27e00a4bde7b57b459f70af06f3ef5d8d11fd77"),
 ], ids=["analyze-groetzsch", "analyze-turan-9-3", "blowup-opt-groetzsch",
         "extract-tripartite-sat-non-blowup", "extract-tripartite-sat-twin-free",
-        "extract-tripartite-turan-9-3", "thm2-r3", "thm1-r2", "lambda-r2-k4",
-        "lemmas"])
+        "extract-tripartite-turan-9-3", "extract-tripartite-c3-sat-twin-free",
+        "thm2-r3", "thm1-r2", "lambda-r2-k4", "lemmas"])
 def test_report_output_is_byte_stable(source, argv, digest):
     # the reports carry witnesses (twin classes, clique, colouring, weights,
     # parts) that no isomorphism-invariant assertion would catch changing
@@ -381,6 +394,44 @@ def test_report_output_is_byte_stable(source, argv, digest):
     proc = subprocess.run([sys.executable, "-m", "turanlab.cli", *argv],
                           input=stdin, capture_output=True)
     assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+_LAMBDA_R2_K3 = ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "6"]
+
+
+# orders 1-6 hold 1, 3, 6, 13, 27 and 65 triangle-free graphs in total and
+# the value reaches its lower bound 1 at order 5: budget 27 ends on a level
+# boundary, 30 cuts the last level after the search stops testing, and 65
+# is exactly complete
+@pytest.mark.parametrize("argv,code,digest", [
+    (_LAMBDA_R2_K3 + ["--budget", "0"], 2,
+     "4696879d6fd8f9def5c986065781e3013640b69cefe5b25bdf55faeb34042d4b"),
+    (_LAMBDA_R2_K3 + ["--budget", "3"], 2,
+     "65f678e4ada8817f8500c36c20ddad90ddaf502c3e466845f79b8102871252d5"),
+    (_LAMBDA_R2_K3 + ["--budget", "27"], 2,
+     "8cd14aae03dab8cd913a3f8a1a5ed3ede4da3c5a8c93e17c12fb3050332ee0cc"),
+    (_LAMBDA_R2_K3 + ["--budget", "30"], 2,
+     "f096092ff0ab77d519577e592566c835f47c54c2a733d062f4029481bc118dc3"),
+    (_LAMBDA_R2_K3 + ["--budget", "64"], 2,
+     "b7b5acede056a2858dd45c3c845b7a3b41998b7d8e8c2451569816494abf2673"),
+    (_LAMBDA_R2_K3 + ["--budget", "65"], 0,
+     "70a444579eb37cbc45b2f58c77897c17406f247341bd8774629ee159d502cee6"),
+    (["verify", "lambda", "--r", "3", "--k", "4", "--max-order", "7"], 0,
+     "9c3ac66d4317737f910043efcb7242f6b3ea472b8875ddde568afbefb4a6e6d6"),
+    (["verify", "thm2", "--r", "2", "--n", "5..9"], 0,
+     "c47c7281eb18a4b9cbc1ab53355a3b5b195417a30f02a1bab4fa920f92b003b1"),
+    (["verify", "thm1", "--r", "3", "--n", "6..8"], 0,
+     "c18fb1ff8a8a3c62f3fd6e5686bac02afc80112a61ca6a3979a14d96a1bd7569"),
+], ids=["lambda-budget-0", "lambda-budget-3", "lambda-budget-27",
+        "lambda-budget-30", "lambda-budget-64", "lambda-budget-65",
+        "lambda-r3-k4", "thm2-r2", "thm1-r3"])
+def test_verify_scans_are_pinned(argv, code, digest):
+    # each level scan is written once, with its budget cut and its skip
+    # rule taken per level; these pin where a cut or a skip could go wrong
+    proc = subprocess.run([sys.executable, "-m", "turanlab.cli", *argv],
+                          capture_output=True)
+    assert proc.returncode == code
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 

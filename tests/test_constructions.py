@@ -303,3 +303,20 @@ def test_huge_r_is_bounded_before_it_allocates(build, args, expected):
         tracemalloc.stop()
     assert value == expected
     assert peak < 1 << 20  # a list of r class sizes would take 8 MB
+
+
+def test_huge_f_is_rejected_without_its_power():
+    # n <= 4^f is decided from bit lengths: 4^(10^7) would take 2.5 MB and
+    # could not be written into the message
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"need n > 4\^f \(f below"):
+            three_sat_many_twin_classes(10 ** 7, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a small power is still written out, and n = 4^f + 1 is accepted
+    with pytest.raises(ValueError, match=r"need n > 4\^f = 16 \(f below"):
+        three_sat_many_twin_classes(2, 16)
+    assert three_sat_many_twin_classes(2, 17).n == 17

@@ -15,7 +15,6 @@ from turanlab.deficiency import (
     blowup_edge_count,
     deficiency,
     deficiency_lower_bound,
-    deficiency_search,
     optimal_blowup,
 )
 from turanlab import enumeration
@@ -29,6 +28,7 @@ from turanlab.graph import (
     from_graph6,
 )
 from turanlab.invariants import CliquePresentError, clique_number
+from turanlab.verify import deficiency_search
 
 
 def test_deficiency_examples():
@@ -122,24 +122,24 @@ def test_monotone_transfer():
 
 def test_search_small():
     res = deficiency_search(2, 3, 5)
-    assert res.value == 1
-    assert res.minimal_order == 5
-    assert res.complete
+    assert res["value"] == 1
+    assert res["minimal_order"] == 5
+    assert res["complete"]
     assert any(are_isomorphic(from_graph6(w), cycle_graph(5))
-               for w in res.witnesses)
-    assert res.value >= deficiency_lower_bound(2, 3)
+               for w in res["witnesses"])
+    assert res["value"] >= deficiency_lower_bound(2, 3)
 
 
 def test_search_empty_range():
     res = deficiency_search(2, 4, 6)
-    assert res.value is None and res.minimal_order is None
-    assert res.complete
+    assert res["value"] is None and res["minimal_order"] is None
+    assert res["complete"]
 
 
 def test_search_budget_flagging():
     res = deficiency_search(2, 3, 6, node_budget=3)
-    assert not res.complete
-    assert res.examined == 3
+    assert not res["complete"]
+    assert res["examined"] == 3
 
 
 def test_budget_builds_no_level_past_the_one_it_runs_out_in(monkeypatch):
@@ -155,7 +155,7 @@ def test_budget_builds_no_level_past_the_one_it_runs_out_in(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_next_level", next_level)
     res = deficiency_search(2, 4, 11, node_budget=1000)
-    assert not res.complete and res.examined == 1000
+    assert not res["complete"] and res["examined"] == 1000
     assert len(enumeration._LEVELS[3]) == 9
 
 

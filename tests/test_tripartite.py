@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from turanlab.constructions import sat_non_blowup, turan_number
-from turanlab.graph import Graph, bits, complete_graph, complete_multipartite
+from turanlab.constructions import sat_non_blowup, sat_twin_free, turan_number
+from turanlab.graph import Graph, bits, complete_graph, complete_multipartite, from_graph6
 from turanlab.invariants import CliquePresentError, is_clique_free
 from turanlab.tripartite import (
     CertificateError,
@@ -37,6 +37,24 @@ def test_gadget_graph_extraction():
     # regression: the window-free bulks plus the first window survive
     assert cert.fraction == Fraction(31, 40)
     validate_certificate(g, cert)
+
+
+@pytest.mark.parametrize("build,covered", [
+    (lambda: sat_twin_free(4, 3), {1: 18, 2: 18, 3: 18, 10: 16}),
+    (lambda: sat_twin_free(8, 3), {1: 210, 2: 210, 3: 210, 10: 148}),
+    # 4-saturated, from a seeded random greedy saturation: here the B_v
+    # dropped at c_param = 1 cost the certificate two vertices
+    (lambda: from_graph6("K^zMmjcN~Gx^"), {1: 8, 2: 10, 3: 10, 10: 10}),
+], ids=["sat-twin-free-4", "sat-twin-free-8", "saturated-12"])
+def test_large_neighbourhood_branch(build, covered):
+    # a peeled vertex with |A_v| >= c_param keeps A_v out of the core and
+    # drops its B_v instead; the largest |A_v| is 8 on sat_twin_free(8, 3),
+    # so the default cutoff of 10 never takes that branch there
+    g = build()
+    for c_param, count in covered.items():
+        cert = extract_tripartite(g, c_param=c_param)
+        validate_certificate(g, cert)
+        assert cert.covered == count, c_param
 
 
 def test_rejects_non_saturated():

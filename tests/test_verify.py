@@ -1,9 +1,12 @@
 import subprocess
 import sys
 
+from turanlab import invariants
 from turanlab.canon import are_isomorphic
+from turanlab.constructions import groetzsch_graph
 from turanlab.graph import from_graph6, cycle_graph
 from turanlab.verify import (
+    analyze_graph,
     classify_extremal,
     deficiency_table,
     family_inventory,
@@ -100,3 +103,18 @@ def test_revalidation_survives_optimisation():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analyze_finds_the_clique_number_once(monkeypatch):
+    # the clique number analyze reports is also the colouring's lower bound
+    calls = []
+    search = invariants.max_clique
+
+    def counted(g):
+        calls.append(g.n)
+        return search(g)
+
+    monkeypatch.setattr(invariants, "max_clique", counted)
+    entry = analyze_graph(groetzsch_graph())
+    assert (entry["clique_number"], entry["chromatic_number"]) == (2, 4)
+    assert calls == [11]
