@@ -46,10 +46,6 @@ UNRESTRICTED_MAX = 11
 
 # a level is shared out over forked workers when each gets this many parents
 _PARENTS_PER_WORKER = 64
-# certificates per message from a worker: one message of a whole result
-# leaves a large freed block resident (+0.2 MB peak RSS at triangle-free
-# order 10), many small ones do not
-_FRAME = 512
 
 # filter key: None for all graphs, q >= 2 for K_q-free; levels[i] holds
 # the sorted keys of order i + 1
@@ -204,28 +200,24 @@ def _worker_count(parents: int) -> int:
 
 def _work(parents: list[int], k: int, q: int | None, fd: int) -> int:
     """Body of a forked worker: write the kept keys of the order-``k``
-    ``parents`` to ``fd`` as length-prefixed marshal frames of at most
-    _FRAME keys, or its error as one frame holding a string; return the
-    exit status."""
+    ``parents`` to ``fd`` as one marshalled list, or its error as one
+    marshalled string; return the exit status."""
     try:
-        keys = [c for p in parents for c in _children(p, k, q)]
-        frames = [keys[i:i + _FRAME] for i in range(0, len(keys), _FRAME)]
-        failed = False
+        answer = [c for p in parents for c in _children(p, k, q)]
     except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises
-        frames = [f"{type(exc).__name__}: {exc}"]
-        failed = True
+        answer = f"{type(exc).__name__}: {exc}"
     with os.fdopen(fd, "wb") as fh:
-        for frame in frames:
-            data = marshal.dumps(frame)
-            fh.write(len(data).to_bytes(4, "little") + data)
-    return int(failed)
+        marshal.dump(answer, fh)
+    return int(isinstance(answer, str))
 
 
 def _forked_children(parents: list[int], k: int, q: int | None,
                      w: int) -> list[int]:
     """The kept keys of the order-``k`` ``parents`` from ``w`` forked workers,
-    worker i taking parents[i::w] and answering through its own pipe.  Any
-    worker that fails fails the level, so it is never short."""
+    worker i taking parents[i::w] and answering through its own pipe.  An
+    answer is read as it arrives, never held whole as bytes.  Any worker
+    that fails, or ends without a whole list, fails the level, so it is
+    never short."""
     workers: list[tuple[int, BinaryIO]] = []
     try:
         for i in range(w):
@@ -243,19 +235,20 @@ def _forked_children(parents: list[int], k: int, q: int | None,
         keys: list[int] = []
         for i in range(w):
             pid, reader = workers[0]
-            frames = []
             with reader:
-                while head := reader.read(4):
-                    frames.append(reader.read(int.from_bytes(head, "little")))
+                try:
+                    answer = marshal.load(reader)
+                except (EOFError, ValueError):  # the pipe ended mid-answer
+                    answer = None
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[0]
-            if code:
+            if code or not isinstance(answer, list):
                 detail = (f"ended by signal {-code}" if code < 0 else
-                          marshal.loads(frames[0]) if frames else f"exit status {code}")
+                          answer if isinstance(answer, str) else
+                          f"no answer, exit status {code}")
                 raise EnumerationWorkerError(
                     f"enumeration worker {i} of {w} failed: {detail}")
-            for data in frames:
-                keys.extend(marshal.loads(data))
+            keys.extend(answer)
         return keys
     except OSError as exc:
         raise EnumerationWorkerError(f"enumeration workers: {exc}") from exc

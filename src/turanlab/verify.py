@@ -12,6 +12,7 @@ from typing import Iterable
 
 from .canon import certificate
 from .constructions import (
+    _c5_join_turan,
     extremal_family,
     groetzsch_graph,
     k4free_5chromatic,
@@ -87,7 +88,9 @@ def verify_threshold(r: int, n_values: Iterable[int]) -> dict:
 
 
 def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[int, str]]]:
-    """Certificate -> list of (l, variant) labels over the valid family."""
+    """Certificate -> list of (l, variant) labels over the valid family,
+    plus C5 joined to T(n-5, r-2) for r >= 3, labelled (0, "c5-join"),
+    where it has the threshold size and is isomorphic to no member."""
     inventory: dict[tuple[int, ...], list[tuple[int, str]]] = {}
     s = n // r
     for l in range(1, s):
@@ -97,6 +100,10 @@ def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[int, st
             except ValueError:
                 continue
             inventory.setdefault(certificate(g), []).append((l, variant))
+    if r >= 3 and n >= r + 3:
+        g = _c5_join_turan(n, r)
+        if g.edge_count == threshold_size(n, r):
+            inventory.setdefault(certificate(g), [(0, "c5-join")])
     return inventory
 
 
@@ -369,8 +376,8 @@ def check_trifree_tripartite_bound() -> dict:
     checked = 0
     for ab in range(1 << nblocks):
         for ac in range(1 << nblocks):
-            # fix blocks A-B and A-C, then scan B-C choices cheaply by
-            # counting, pruning graphs that cannot beat the bound early
+            # fix blocks A-B and A-C, then build and test the graph of
+            # every B-C choice; nothing is pruned
             edges_ab = [(pairs[t][0], m + pairs[t][1]) for t in bits(ab)]
             edges_ac = [(pairs[t][0], 2 * m + pairs[t][1]) for t in bits(ac)]
             for bc in range(1 << nblocks):

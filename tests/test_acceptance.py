@@ -76,7 +76,7 @@ def test_criterion_1_threshold_exact():
 
 # -- criterion 2: classification of the extremal graphs -----------------------
 
-CLASSIFY_RANGES = {2: range(5, 9), 3: range(7, 9)}
+CLASSIFY_RANGES = {2: range(5, 9), 3: range(7, 9), 4: range(7, 9)}
 
 
 def test_criterion_2_classification():

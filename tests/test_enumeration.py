@@ -4,8 +4,10 @@ bucketed by certificate, with no shared generation machinery.  The
 canonical-deletion generator is also checked level by level against the
 global-seen-set generator it replaced, which labels every child."""
 
+import errno
 import os
 import signal
+import threading
 
 import pytest
 
@@ -196,10 +198,62 @@ def test_levels_do_not_depend_on_the_worker_count(monkeypatch, q, max_order):
         assert len(forked) == sum(w for w in workers if w > 1)
 
 
+def test_levels_are_built_in_process_while_another_thread_runs(monkeypatch):
+    levels_up_to(8)
+    keys = enumeration._LEVELS[None]
+    forked = _counting_forks(monkeypatch, 2)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        assert len(keys[6]) == 1044
+        assert enumeration._next_level(keys[6], 7, None) == keys[7]
+    finally:
+        release.set()
+        waiting.join()
+    assert forked == []
+
+
+def test_a_worker_that_cannot_be_forked_fails_the_level(monkeypatch, capsys):
+    levels_up_to(7)
+    forked = _counting_forks(monkeypatch, 2)
+    counting_fork = enumeration.os.fork
+    calls = []
+
+    def second_fork_fails():
+        # of each level's two forks, the second fails
+        calls.append(len(calls) % 2)
+        if calls[-1]:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counting_fork()
+
+    monkeypatch.setattr(enumeration.os, "fork", second_fork_fails)
+    cached = enumeration._LEVELS[None][:]
+    del enumeration._LEVELS[None][7:]
+    message = f"enumeration workers: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    try:
+        with pytest.raises(enumeration.EnumerationWorkerError) as exc:
+            levels_up_to(8)
+        assert str(exc.value) == message
+        assert len(enumeration._LEVELS[None]) == 7
+        assert main(["enumerate", "--n", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert len(enumeration._LEVELS[None]) == 7
+    finally:
+        enumeration._LEVELS[None][:] = cached
+    # the one worker of each attempt that was forked has been reaped
+    assert calls == [0, 1, 0, 1] and len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.mark.parametrize("how,detail", [
     ("raise", "ValueError: boom"),
     ("kill", f"ended by signal {signal.SIGKILL}"),
-], ids=["raise", "kill"])
+    ("exit", "no answer, exit status 0"),
+], ids=["raise", "kill", "exit"])
 def test_a_failing_worker_fails_the_level(monkeypatch, capsys, how, detail):
     levels_up_to(7)
     boom = enumeration._LEVELS[None][6][500]  # the key of a parent of worker 0
@@ -212,6 +266,8 @@ def test_a_failing_worker_fails_the_level(monkeypatch, capsys, how, detail):
         if parent == boom and k == 7 and os.getpid() != here:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if how == "exit":  # an exit status of 0 with no answer
+                os._exit(0)
             raise ValueError("boom")
         return children(parent, k, q)
 

@@ -1,8 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
 from turanlab import invariants
-from turanlab.canon import are_isomorphic
+from turanlab.canon import are_isomorphic, certificate
 from turanlab.constructions import groetzsch_graph
 from turanlab.graph import from_graph6, cycle_graph
 from turanlab.verify import (
@@ -66,6 +68,14 @@ def test_family_inventory_prime_membership():
     labels = [lv for lvs in inv.values() for lv in lvs]
     assert (2, "prime") in labels
     assert (1, "standard") in labels
+
+
+@pytest.mark.parametrize("n,r,g6", [(9, 3, "H?~vnv{"), (7, 4, "FLr~w"), (8, 5, "GLr~~{")])
+def test_family_inventory_holds_c5_joined_to_a_turan_graph(n, r, g6):
+    # C5 joined to T(n-5, r-2) is extremal where no (l, variant) member
+    # is isomorphic to it: at (9, 3) the family has another graph, at
+    # (7, 4) and (8, 5) it has none
+    assert family_inventory(n, r)[certificate(from_graph6(g6))] == [(0, "c5-join")]
 
 
 def test_deficiency_table_pinch_35():
