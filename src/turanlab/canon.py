@@ -22,6 +22,15 @@ The certificate of a labelling is the tuple of relabelled adjacency rows
 (``graph._relabel_rows``, which also cuts out each component);
 the canonical labelling is the one with the lexicographically smallest
 certificate.  Certificates of isomorphic graphs are identical.
+
+``canonical_labelling`` runs the same search and also returns the exact
+orbits of the automorphism group, which canonical deletion needs to
+settle ties (``enumeration._children``).  It needs no search of its own:
+the twin swaps the candidate loop skips, the maps between leaves of
+equal certificate and the maps between isomorphic components generate
+the whole group (see ``_canon_search``), and a union-find over them
+gives its orbits.  Only that entry collects them, so the certificate
+alone costs what it did.
 """
 
 from __future__ import annotations
@@ -86,20 +95,36 @@ def _refine(cells: list[list[int]], rows: Sequence[int],
     return cells
 
 
-def _canon_search(rows: Sequence[int], k: int) -> tuple[int, ...]:
+def _canon_search(rows: Sequence[int], k: int, autos: list | None = None
+                  ) -> tuple[list[int], list[int]]:
     """Least certificate over the search leaves, for a graph on local
-    vertices 0..k-1."""
+    vertices 0..k-1, and the labelling of the first leaf that gives it.
+
+    With a list ``autos``, also append pairs (a, b) of vertex lists such
+    that the orbits of Aut are the classes of the relation a[i] ~ b[i].
+    The leaves of the unpruned tree form an Aut-invariant set, so every
+    automorphism maps the best leaf to a best leaf of that tree.  The
+    candidate loop skips v only for an earlier twin u in the same cell;
+    the transposition (u v) is an automorphism that fixes the node and
+    maps u's subtree onto v's.  So every leaf is a product of such
+    transpositions applied to a visited leaf, and these transpositions
+    with the maps from the best leaf to the later visited leaves of equal
+    certificate generate Aut."""
     best: list[int] | None = None
+    best_lab: list[int] = []
 
     def rec(cells: list[list[int]]) -> None:
-        nonlocal best
+        nonlocal best, best_lab
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 break
         else:
-            cert = _relabel_rows(rows, [c[0] for c in cells])
+            lab = [c[0] for c in cells]
+            cert = _relabel_rows(rows, lab)
             if best is None or cert < best:
-                best = cert
+                best, best_lab = cert, lab
+            elif autos is not None and cert == best:
+                autos.append((best_lab, lab))
             return
         # candidates up to interchangeability: skip v when an earlier u in
         # the cell is an open twin (equal rows) or closed twin (rows differ
@@ -110,6 +135,8 @@ def _canon_search(rows: Sequence[int], k: int) -> tuple[int, ...]:
             for u in cands:
                 d = rows[u] ^ rv
                 if d == 0 or d == (1 << u) | (1 << v):
+                    if autos is not None:
+                        autos.append(([u], [v]))
                     break
             else:
                 cands.append(v)
@@ -120,7 +147,7 @@ def _canon_search(rows: Sequence[int], k: int) -> tuple[int, ...]:
             rec(_refine(sub, rows, [1 << v]))
 
     rec(_refine([list(range(k))], rows, [(1 << k) - 1]))
-    return tuple(best)
+    return best, best_lab
 
 
 def _components(rows: Sequence[int], n: int) -> list[int]:
@@ -142,26 +169,69 @@ def _components(rows: Sequence[int], n: int) -> list[int]:
     return comps
 
 
-def canonical_certificate_rows(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """Canonical certificate (relabelled adjacency rows) of the graph given
-    by ``rows``.  Equal for two graphs iff they are isomorphic."""
+def _labelling(rows: Sequence[int], n: int, autos: list | None = None
+               ) -> tuple[list[int], list[int]]:
+    """The canonical certificate of the graph ``rows`` and its labelling
+    (vertex ``lab[i]`` goes to i), per component by ``_canon_search``; the
+    pairs put in ``autos`` are as there, with the maps between the
+    labellings of isomorphic components."""
     comps = _components(rows, n)
     if len(comps) == 1:
         # as the loop below gives it, less one identity relabel
-        return _canon_search(rows, n)
+        return _canon_search(rows, n, autos)
     pieces = []
     for comp in comps:
-        local = _relabel_rows(rows, list(bits(comp)))
-        pieces.append((len(local), _canon_search(local, len(local))))
+        verts = list(bits(comp))
+        local = _relabel_rows(rows, verts)
+        sub = None if autos is None else []
+        cert, lab = _canon_search(local, len(local), sub)
+        pieces.append((len(local), cert, [verts[i] for i in lab]))
+        if sub:
+            autos.extend(([verts[i] for i in a], [verts[i] for i in b])
+                         for a, b in sub)
     # concatenate component certificates, larger components last so that
     # the combined certificate is again isomorphism-invariant
     pieces.sort()
     out: list[int] = []
+    order: list[int] = []
     offset = 0
-    for size, cert in pieces:
+    for i, (size, cert, lab) in enumerate(pieces):
         out.extend(r << offset for r in cert)
         offset += size
-    return tuple(out)
+        order.extend(lab)
+        if autos is not None and i and pieces[i - 1][:2] == (size, cert):
+            autos.append((pieces[i - 1][2], lab))
+    return out, order
+
+
+def canonical_certificate_rows(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Canonical certificate (relabelled adjacency rows) of the graph given
+    by ``rows``.  Equal for two graphs iff they are isomorphic."""
+    return tuple(_labelling(rows, n)[0])
+
+
+def canonical_labelling(rows: Sequence[int], n: int
+                        ) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The canonical certificate of the graph ``rows`` (as
+    ``canonical_certificate_rows`` gives it), the canonical labelling
+    ``lab`` (its vertex ``lab[i]`` becomes vertex i of the certificate) and
+    the orbits of its automorphism group: ``orbit[v]`` is the least vertex
+    that an automorphism maps v to.  The same search as the certificate's,
+    which also collects the automorphisms it meets."""
+    autos: list[tuple[list[int], list[int]]] = []
+    cert, lab = _labelling(rows, n, autos)
+    orbit = list(range(n))  # a union-find forest whose roots are least
+
+    def root(v: int) -> int:
+        while orbit[v] != v:
+            v = orbit[v]
+        return v
+
+    for a, b in autos:
+        for u, v in zip(a, b):
+            u, v = root(u), root(v)
+            orbit[max(u, v)] = min(u, v)
+    return tuple(cert), lab, [root(v) for v in range(n)]
 
 
 def certificate(g: Graph) -> tuple[int, ...]:

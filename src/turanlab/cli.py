@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 
 from . import constructions as cons
 from .deficiency import (
@@ -95,6 +96,18 @@ def _emit_json(args: argparse.Namespace, payload: dict, t0: float) -> None:
     if args.timing:
         payload = dict(payload, runtime_ms=int((time.perf_counter() - t0) * 1000))
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _int_at_least(least: int) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer option whose values start at
+    ``least``: a smaller one is a usage error that names the option."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_range(spec: str) -> list[int]:
@@ -257,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="invariant report for input graphs")
-    p.add_argument("--r", type=int)
-    p.add_argument("--q", type=int)
+    p.add_argument("--r", type=_int_at_least(2))
+    p.add_argument("--q", type=_int_at_least(3))
     common(p, graphs_in=True)
     p.set_defaults(func=cmd_report)
 
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract-tripartite",
                        help="complete tripartite certificate")
-    p.add_argument("--C-param", dest="c_param", type=int, default=10)
+    p.add_argument("--C-param", dest="c_param", type=_int_at_least(1), default=10)
     common(p, graphs_in=True)
     p.set_defaults(func=cmd_report)
 

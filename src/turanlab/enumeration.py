@@ -3,11 +3,18 @@
 Graphs are generated order by order: every graph on n vertices arises from
 a graph on n-1 vertices by attaching a new vertex, and for K_q-freeness the
 attachment set must induce no K_{q-1}.  Repeats are removed by canonical
-deletion (McKay's canonical construction path): a graph G is kept only
-when built from the class of G - m(G), where m(G) is a fixed vertex of
-least (degree, sorted neighbour degrees), so no set of every form seen is
-needed and each parent is handled on its own.  Each level contains exactly
-one canonical representative per isomorphism class, sorted canonically.
+deletion (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998): a graph G is kept only when its new vertex lies in the orbit of
+m(G) under Aut(G), where m(G) is the vertex of least (degree, sorted
+neighbour degrees) that comes first in canonical order.  So G is built
+only from the class of G - m(G), no set of every form seen is needed and
+each parent is handled on its own.  The orbits come with the child's
+canonical labelling (``canon.canonical_labelling``), and only a tie on
+the invariant asks for them.  Automorphisms of the parent that permute
+a class of twins would give the same child several times, so a parent
+tries one attachment set per orbit of those permutations.  Each level
+contains exactly one canonical representative per isomorphism class,
+sorted canonically.
 
 Since parents are independent, a level with 128 or more parents is built
 by forked workers: one per usable core, with at least 64 parents each,
@@ -29,8 +36,8 @@ import sys
 from collections.abc import Sequence
 from typing import BinaryIO, Iterator
 
-from .canon import canonical_certificate_rows
-from .graph import Graph, _graph6_text, _key_rows, _relabel_rows, _upper_key, bits
+from .canon import canonical_certificate_rows, canonical_labelling
+from .graph import Graph, _graph6_text, _key_rows, _upper_key, bits
 from .invariants import _best_clique
 
 
@@ -101,18 +108,38 @@ def _class_count_estimate(n: int) -> str:
 
 
 def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
-    """All attachment masks S such that adding a vertex joined to S keeps
-    the graph K_q-free, i.e. S induces no K_{q-1}.  Includes the empty set."""
-    if q is None:
-        return list(range(1 << k))
+    """Attachment masks S such that adding a vertex joined to S keeps the
+    graph K_q-free, i.e. S induces no K_{q-1}; the empty set included, and
+    one S for each orbit of the twin group.
+
+    Open twins (equal rows) and closed twins (rows equal once the pair's
+    own two bits are removed) form classes; the symmetric group on each
+    class is a group of automorphisms of the graph, and the S with a
+    prefix of every class in index order are one per orbit of their
+    product.  Masks grow in increasing vertex order, so u is skipped when
+    the class member before it is not in S."""
+    # before[u]: the bit of the last vertex before u in u's twin class
+    before = [0] * k
+    last_open: dict[int, int] = {}
+    last_closed: dict[int, int] = {}
+    for u, r in enumerate(rows):
+        closed = r | 1 << u
+        prev = last_open.get(r, last_closed.get(closed))
+        if prev is not None:
+            before[u] = 1 << prev
+        last_open[r] = last_closed[closed] = u
     out = [0]
-    need = q - 2  # a K_{q-1} through u inside S means a K_{q-2} in S & N(u)
+    # a K_{q-1} through u inside S means a K_{q-2} in S & N(u)
+    need = None if q is None else q - 2
 
     def grow(smask: int, start: int) -> None:
         for u in range(start, k):
-            common = rows[u] & smask
-            if common.bit_count() >= need and _best_clique(rows, common, need) is not None:
+            if before[u] & ~smask:
                 continue
+            if need is not None:
+                common = rows[u] & smask
+                if common.bit_count() >= need and _best_clique(rows, common, need) is not None:
+                    continue
             nxt = smask | (1 << u)
             out.append(nxt)
             grow(nxt, u + 1)
@@ -121,26 +148,22 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
     return out
 
 
-def _canonical_parent(cert: Sequence[int]) -> tuple[int, ...]:
-    """Certificate of G - m(G) for the canonical rows ``cert`` of G, where
-    m(G) is the first vertex of least (degree, sorted neighbour degrees):
-    on canonical rows, an isomorphism-invariant choice."""
-    deg = [r.bit_count() for r in cert]
-    m = min(range(len(cert)),
-            key=lambda v: (deg[v], sorted(deg[u] for u in bits(cert[v]))))
-    rest = [v for v in range(len(cert)) if v != m]
-    return canonical_certificate_rows(_relabel_rows(cert, rest), len(rest))
-
-
 def _children(parent: int, k: int, q: int | None) -> list[int]:
     """Keys of the children of the order-``k`` graph with key ``parent``
-    kept by canonical deletion: a child is kept when its certificate minus
-    m(child) is the parent again, which needs the new vertex k to have the
-    least invariant.  Only children where it has are labelled, and only ties
-    between several such vertices pay the labelling of the deletion.  The
-    class of G comes only from the class of G - m(G), which is one parent,
-    so one set per parent removes the repeats that automorphisms of the
-    parent make."""
+    kept by canonical deletion: a child G is kept when the new vertex k
+    lies in the orbit of m(G) under Aut(G), where m(G) is the vertex of
+    least (degree, sorted neighbour degrees) that comes first in canonical
+    order.  Then G - m(G) is isomorphic to the parent, and the class of G
+    comes from this parent alone.  Only children where k has the least invariant are
+    labelled, and only a tie between several such vertices asks the
+    labelling for the orbits.
+
+    ``_extension_sets`` gives one set per orbit of the parent's twin
+    group; the sets that other automorphisms of the parent map onto each
+    other give one child key, kept once through ``seen``.  A key enters
+    ``seen`` only when its child is kept: the orbit test depends on which
+    vertex is new, so a rejected embedding of a class must not hide an
+    accepted one from a later set."""
     rows = tuple(_key_rows(parent, k))
     deg = [r.bit_count() for r in rows]
     # at[d]: parent vertices of degree d; under[d]: those of degree < d
@@ -166,17 +189,24 @@ def _children(parent: int, k: int, q: int | None) -> list[int]:
         # vertices of degree d
         own = sorted(cdeg[u] for u in bits(smask))
         same = (at[d] & ~smask) | (at[d - 1] & smask)
-        others = [sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)]
-        if any(other < own for other in others):
+        others = {v: sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)}
+        if any(other < own for other in others.values()):
             continue
-        cert = canonical_certificate_rows(child, k + 1)
+        tied = [v for v, other in others.items() if other == own]
+        if tied:
+            # m(G) is the first of k and the vertices tied with it in
+            # canonical order
+            cert, lab, orbit = canonical_labelling(child, k + 1)
+            tied.append(k)
+            m = next(v for v in lab if v in tied)
+            if orbit[m] != orbit[k]:
+                continue
+        else:
+            cert = canonical_certificate_rows(child, k + 1)
         key = _upper_key(cert)
-        if key in seen:
-            continue
-        seen.add(key)
-        if own in others and _canonical_parent(cert) != rows:
-            continue
-        out.append(key)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
     return out
 
 

@@ -2,19 +2,24 @@
 across relabellings (all of them for n <= 6, seeded ones for n = 7, 8),
 must separate non-isomorphic graphs, and must equal, bit for bit, the
 certificates of the full-recompute refinement that ``canon._refine``
-replaced, kept here as ``_full_refine``."""
+replaced, kept here as ``_full_refine``.  The automorphism orbits that
+``canonical_labelling`` returns must equal those of a search over every
+permutation."""
 
 import itertools
 import random
+
+import pytest
 
 from turanlab import canon
 from turanlab.canon import (
     _refine,
     are_isomorphic,
     canonical_certificate_rows,
+    canonical_labelling,
     certificate,
 )
-from turanlab.constructions import extremal_graph, groetzsch_graph
+from turanlab.constructions import extremal_graph, groetzsch_graph, turan_graph
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
@@ -185,3 +190,77 @@ def test_certificate_separates_non_isomorphic():
                 edges.append(pair)
         seen.add(certificate(Graph(4, edges)))
     assert len(seen) == 11
+
+
+def _brute_force_orbits(g):
+    """orbit[v]: the least vertex that an automorphism maps v to, over
+    every permutation of the vertices.  Permutations are built one image
+    at a time, and a prefix that already breaks an adjacency is dropped
+    with all its completions, none of which is an automorphism."""
+    n = g.n
+    adj = [[g.has_edge(u, v) for v in range(n)] for u in range(n)]
+    orbit = list(range(n))
+    image = []
+
+    def extend(used):
+        v = len(image)
+        if v == n:
+            for u, w in enumerate(image):
+                orbit[u] = min(orbit[u], w)
+            return
+        for w in range(n):
+            if not used >> w & 1 and all(adj[u][v] == adj[x][w]
+                                         for u, x in enumerate(image)):
+                image.append(w)
+                extend(used | 1 << w)
+                image.pop()
+
+    extend(0)
+    return orbit
+
+
+def _disjoint(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
+_STAR3 = complete_multipartite([1, 3])
+_ORBIT_CASES = {
+    "2C5": _disjoint(cycle_graph(5), cycle_graph(5)),
+    "3K2+K1": _disjoint(*[complete_graph(2)] * 3, Graph(1)),
+    "2K13": _disjoint(_STAR3, _STAR3),
+    "K33": complete_multipartite([3, 3]),
+    "T(7,3)": turan_graph(7, 3),
+}
+
+
+def _check_labelling(g):
+    cert, lab, orbit = canonical_labelling(g.rows, g.n)
+    assert cert == canonical_certificate_rows(g.rows, g.n)
+    assert sorted(lab) == list(range(g.n))
+    assert g.induced(lab).rows == cert
+    assert orbit == _brute_force_orbits(g)
+
+
+def test_orbits_equal_brute_force_up_to_order_six():
+    rng = random.Random(11)
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            _check_labelling(g)
+            _check_labelling(g.relabel(perm))
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_CASES))
+def test_orbits_equal_brute_force_across_components_and_twins(name):
+    g = _ORBIT_CASES[name]
+    rng = random.Random(name)
+    _check_labelling(g)
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        _check_labelling(g.relabel(perm))

@@ -484,3 +484,33 @@ def test_out_file(tmp_path):
     target = tmp_path / "graphs.g6"
     assert main(["enumerate", "--n", "4", "--out", str(target)]) == 0
     assert len(target.read_text().strip().splitlines()) == 11
+
+
+# command, option, least valid value, the report field that value keeps,
+# and the input graph: C5 (clique number 2) for analyze and a K4-free
+# 4-saturated graph for extract-tripartite
+_OPTION_RANGES = [
+    ("analyze", "--q", 3, "saturation", ["extremal", "--n", "5", "--r", "2"]),
+    ("analyze", "--r", 2, "deficiency", ["extremal", "--n", "5", "--r", "2"]),
+    ("extract-tripartite", "--C-param", 1, "parts",
+     ["sat-twin-free", "--m", "4", "--r", "3"]),
+]
+
+
+@pytest.mark.parametrize("command,option,least,field,source", _OPTION_RANGES,
+                         ids=[f"{c}{o}" for c, o, *_ in _OPTION_RANGES])
+def test_an_option_below_its_range_is_a_usage_error(
+        tmp_path, capsys, command, option, least, field, source):
+    # these values used to run with exit 0: analyze left the saturation or
+    # deficiency field out, and extract-tripartite took a meaningless cutoff
+    infile = tmp_path / "in.g6"
+    assert main(["construct", *source, "--out", str(infile)]) == 0
+    for value in sorted({-1, 0, least - 1}):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, str(value), "--in", str(infile)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"error: argument {option}: must be >= {least}, "
+                            f"got {value}\n")
+    assert main([command, option, str(least), "--in", str(infile)]) == 0
+    assert field in json.loads(capsys.readouterr().out)["graphs"][0]

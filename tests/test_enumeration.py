@@ -8,15 +8,15 @@ import errno
 import os
 import signal
 import threading
+from itertools import combinations
 
 import pytest
 
 from turanlab import enumeration
-from turanlab.canon import canonical_certificate_rows, certificate
+from turanlab.canon import canonical_certificate_rows, canonical_labelling, certificate
 from turanlab.cli import main
 from turanlab.enumeration import (
     EnumerationLimitError,
-    _extension_sets,
     enumerate_graphs,
     levels_up_to,
 )
@@ -126,12 +126,20 @@ def test_filtered_enumeration_equals_filtered_all_graphs():
 
 def _seen_set_next_level(parents, q):
     """The former generator: label every child and keep the first graph of
-    each certificate, over one set for the whole level."""
+    each certificate, over one set for the whole level.  Every attachment
+    set is tried, and one holding a K_{q-1} is dropped by a test over all
+    (q-1)-subsets, so neither the twin rule of ``_extension_sets`` nor the
+    clique search it calls is shared."""
     seen = set()
     out = []
     for parent in parents:
         k = parent.n
-        for smask in _extension_sets(parent.rows, k, q):
+        for smask in range(1 << k):
+            inside = [v for v in range(k) if smask >> v & 1]
+            if q is not None and any(
+                    all(parent.has_edge(u, v) for u, v in combinations(c, 2))
+                    for c in combinations(inside, q - 1)):
+                continue
             cert = canonical_certificate_rows(parent.add_vertex(smask).rows, k + 1)
             if cert not in seen:
                 seen.add(cert)
@@ -150,21 +158,26 @@ def test_levels_equal_the_seen_set_generator(q, max_order):
 
 
 def test_triangle_free_order_nine_labels_few_children(monkeypatch):
-    # the seen-set generator labels all 24,149 children of order 9; the
-    # count runs in-process, since labellings in forked workers would not
-    # reach this list
+    # the seen-set generator labels all 24,149 children of order 9;
+    # canonical deletion labels 2,583, of which the 1,043 ties also ask for
+    # the orbits.  The count runs in-process, since labellings in forked
+    # workers would not reach this list
     levels_up_to(8, 3)
     parents = enumeration._LEVELS[3][7]
     calls = []
 
-    def counting(rows, n):
-        calls.append(n)
-        return canonical_certificate_rows(rows, n)
+    def counting(label):
+        def count(rows, n):
+            calls.append(label)
+            return label(rows, n)
+        return count
 
-    monkeypatch.setattr(enumeration, "canonical_certificate_rows", counting)
+    for label in (canonical_certificate_rows, canonical_labelling):
+        monkeypatch.setattr(enumeration, label.__name__, counting(label))
     level = [c for p in parents for c in enumeration._children(p, 8, 3)]
     assert len(level) == 1897
-    assert 0 < len(calls) <= 5000
+    assert (calls.count(canonical_certificate_rows),
+            calls.count(canonical_labelling)) == (1540, 1043)
 
 
 def _counting_forks(monkeypatch, cores):
