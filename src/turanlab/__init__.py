@@ -1,6 +1,6 @@
 """turanlab: exact workbench for clique-free extremal graph theory."""
 
-from .canon import are_isomorphic, certificate
+from .canon import certificate
 from .constructions import (
     extremal_family,
     extremal_graph,
@@ -28,7 +28,6 @@ from .graph import (
     blow_up,
     complete_graph,
     complete_multipartite,
-    cone,
     cycle_graph,
     from_graph6,
     path_graph,
@@ -49,9 +48,6 @@ from .invariants import (
 from .saturation import SaturationReport, is_saturated, saturate
 from .symmetrization import (
     SymmetrizationTrace,
-    is_increasing,
-    replay,
-    switch_edge,
     zykov,
     zykov_reduce,
 )

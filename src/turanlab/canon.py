@@ -1,4 +1,5 @@
-"""Canonical labelling and isomorphism testing.
+"""Canonical labelling; two graphs are isomorphic iff their certificates
+are equal.
 
 The canonical form is computed per connected component by iterated
 equitable refinement plus backtracking over the first non-singleton cell.
@@ -236,11 +237,3 @@ def canonical_labelling(rows: Sequence[int], n: int
 
 def certificate(g: Graph) -> tuple[int, ...]:
     return canonical_certificate_rows(g.rows, g.n)
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    return certificate(g) == certificate(h)

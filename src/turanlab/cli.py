@@ -119,6 +119,9 @@ def _parse_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
+# the integer options of construct; a family reads only those it needs
+_FAMILY_OPTIONS = ("n", "r", "m", "f")
+
 # family -> (builder, the options it needs)
 _FAMILIES = {
     "turan": (lambda a: cons.turan_graph(a.n, a.r), ("n", "r")),
@@ -140,6 +143,8 @@ _FILTERS = {"none": None, "triangle-free": 3, "k4-free": 4}
 
 def _filter_q(args: argparse.Namespace) -> int | None:
     if args.filter in _FILTERS:
+        if args.r is not None:
+            raise ValueError(f"enumerate --filter {args.filter} does not read --r")
         return _FILTERS[args.filter]
     if args.r is None:
         raise ValueError("--filter kr1-free requires --r")
@@ -152,6 +157,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     missing = [f"--{opt}" for opt in needs if getattr(args, opt) is None]
     if missing:
         raise ValueError(f"construct {args.family} requires {' '.join(missing)}")
+    unread = [f"--{opt}" for opt in _FAMILY_OPTIONS
+              if opt not in needs and getattr(args, opt) is not None]
+    if unread:
+        raise ValueError(f"construct {args.family} does not read {' '.join(unread)}")
     g = build(args)
     if args.format == "json":
         _emit_json(args, {"schema": SCHEMA, "command": "construct",
@@ -163,8 +172,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
     q = _filter_q(args)
     t0 = time.perf_counter()
     _emit_graphs(args, enumerate_graphs(args.n, q).graph6(), "enumerate", t0)
@@ -258,11 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a named construction")
     p.add_argument("family", choices=sorted(_FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
+    for opt in _FAMILY_OPTIONS:
+        p.add_argument(f"--{opt}", type=int)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--m", type=int)
-    p.add_argument("--f", type=int)
     p.add_argument("--variant", choices=["standard", "prime"], default="standard")
     p.add_argument("--no-empty-set", action="store_true",
                    help="exclude the empty independent set in tf-chi5")
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("enumerate", help="non-isomorphic graphs of an order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--filter", default="none",
                    choices=[*_FILTERS, "kr1-free"])
     p.add_argument("--r", type=int)

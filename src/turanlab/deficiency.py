@@ -119,7 +119,7 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
         raise ValueError(f"target order {n} below vertex count {l}")
     degs = h.degrees()
     surplus = n - l
-    best_w: tuple[int, ...] | None = None
+    best_w: tuple[int, ...] = ()  # order >= 1: some clique replaces it
     best_e = -1
     for cmask in _maximal_cliques(h):
         cl = list(bits(cmask))
@@ -134,7 +134,6 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
         if e > best_e:
             best_e = e
             best_w = tuple(w)
-    assert best_w is not None
     return best_w, best_e
 
 

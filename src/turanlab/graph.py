@@ -140,14 +140,6 @@ class Graph:
         rows[v] &= ~(1 << u)
         return Graph.from_rows(rows, check=False)
 
-    def add_vertex(self, neighbor_mask: int = 0) -> "Graph":
-        n = self.n
-        if neighbor_mask >> n:
-            raise ValueError("neighbor mask out of range")
-        rows = [r | (((neighbor_mask >> v) & 1) << n) for v, r in enumerate(self.rows)]
-        rows.append(neighbor_mask)
-        return Graph.from_rows(rows, check=False)
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced on ``vertices``; vertex i maps to position i."""
         if len(set(vertices)) != len(vertices):
@@ -198,11 +190,6 @@ def complete_multipartite(sizes: Sequence[int]) -> Graph:
             rows[v] = full & ~block
         offset += s
     return Graph.from_rows(rows, check=False)
-
-
-def cone(g: Graph) -> Graph:
-    """``g`` plus one new vertex adjacent to everything."""
-    return g.add_vertex((1 << g.n) - 1)
 
 
 # -- twin classes ---------------------------------------------------------

@@ -445,9 +445,8 @@ def aes_peel(g: Graph, r: int) -> PeelResult:
     cur = g
     removed: list[int] = []
     while True:
-        ok, col = is_r_colorable(cur, r)
-        if ok:
-            assert col is not None
+        _, col = is_r_colorable(cur, r)
+        if col is not None:
             parts: list[list[int]] = [[] for _ in range(col.palette)]
             for i, c in enumerate(col.colors):
                 parts[c].append(alive[i])

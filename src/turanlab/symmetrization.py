@@ -1,5 +1,5 @@
-"""Vertex symmetrization and the edge switches used to push a graph
-toward the extremal configuration.
+"""Vertex symmetrization, used to push a graph toward the extremal
+configuration.
 
 ``zykov`` replaces u by a twin of v (dropping the edge uv first when they
 are adjacent).  The operation never changes the clique or chromatic number
@@ -14,16 +14,8 @@ from .graph import Graph, bits, twin_classes
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    kind: str                    # "zykov" or "switch"
-    vertices: tuple[int, ...]    # (u, v) or (u, v, w)
-    was_adjacent: bool
-    edge_delta: int
-
-
-@dataclass(frozen=True)
 class SymmetrizationTrace:
-    steps: tuple[TraceStep, ...]
+    steps: tuple[tuple[int, int], ...]   # the zykov moves (u, v), in order
 
 
 def zykov(g: Graph, u: int, v: int) -> Graph:
@@ -43,31 +35,6 @@ def zykov(g: Graph, u: int, v: int) -> Graph:
     return Graph.from_rows(rows, check=False)
 
 
-def is_increasing(g: Graph, u: int, v: int) -> bool:
-    """deg(u) <= deg(v), defined for independent pairs only."""
-    if u == v:
-        raise ValueError("u and v must differ")
-    if g.has_edge(u, v):
-        raise ValueError("increasing symmetrization is defined for "
-                         "non-adjacent pairs")
-    return g.degree(u) <= g.degree(v)
-
-
-def replay(g: Graph, trace: SymmetrizationTrace) -> Graph:
-    """Apply a trace to ``g``; reproduces the recorded output exactly."""
-    cur = g
-    for step in trace.steps:
-        if step.kind == "zykov":
-            u, v = step.vertices
-            cur = zykov(cur, u, v)
-        elif step.kind == "switch":
-            u, v, w = step.vertices
-            cur = cur.without_edge(u, v).with_edge(v, w)
-        else:
-            raise ValueError(f"unknown trace step kind {step.kind!r}")
-    return cur
-
-
 def zykov_reduce(g: Graph) -> tuple[Graph, SymmetrizationTrace]:
     """Merge twin classes by increasing symmetrizations until every pair
     of classes is completely joined; the result is complete multipartite
@@ -75,10 +42,11 @@ def zykov_reduce(g: Graph) -> tuple[Graph, SymmetrizationTrace]:
 
     Deterministic: among mergeable class pairs the one with the smallest
     representatives is chosen; merges go from the smaller-degree class
-    into the larger, lower representative winning ties.
+    into the larger, lower representative winning ties.  The trace lists
+    every ``zykov(cur, u, v)`` move as ``(u, v)``, in the order applied.
     """
     cur = g
-    steps: list[TraceStep] = []
+    steps: list[tuple[int, int]] = []
     while True:
         blocks = twin_classes(cur)
         pair = None
@@ -104,28 +72,5 @@ def zykov_reduce(g: Graph) -> tuple[Graph, SymmetrizationTrace]:
             mover, target = j, i
         tv = blocks[target][0]
         for x in blocks[mover]:
-            before = cur.edge_count
             cur = zykov(cur, x, tv)
-            steps.append(TraceStep("zykov", (x, tv), False,
-                                   cur.edge_count - before))
-
-
-def switch_edge(g: Graph, u: int, v: int, w: int, v_alt: int) -> Graph:
-    """Remove uv and add vw, in the configuration where v and w are
-    u-neighbours from different classes with vw missing and u keeps
-    another neighbour v_alt in v's class.  The configuration is validated
-    locally: u~v, u~w, v and w non-adjacent, u~v_alt, v_alt distinct from
-    v and w and non-adjacent to v."""
-    if len({u, v, w, v_alt}) != 4:
-        raise ValueError("u, v, w, v_alt must be four distinct vertices")
-    if not g.has_edge(u, v):
-        raise ValueError("switch requires the edge uv")
-    if not g.has_edge(u, w):
-        raise ValueError("switch requires the edge uw")
-    if g.has_edge(v, w):
-        raise ValueError("switch requires vw to be missing")
-    if not g.has_edge(u, v_alt):
-        raise ValueError("switch requires a second u-neighbour v_alt")
-    if g.has_edge(v, v_alt):
-        raise ValueError("v_alt must lie in v's class (non-adjacent to v)")
-    return g.without_edge(u, v).with_edge(v, w)
+            steps.append((x, tv))

@@ -90,7 +90,6 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
             part_of[v] = i
 
     small_nbhds = 0   # union of A_v over all peeled v
-    large_mids = 0    # union of B_v over large peeled v
     core = 0
     for v in exceptional:
         core |= 1 << v
@@ -99,20 +98,15 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
         for u in bits(g.rows[v]):
             if u in part_of:
                 by_part[part_of[u]].append(u)
-        by_part.sort(key=len)
-        a_v, b_v, _ = by_part
+        a_v = min(by_part, key=len)
         for u in a_v:
             small_nbhds |= 1 << u
         if len(a_v) < c_param:
             for u in a_v:
                 core |= 1 << u
-        else:
-            for u in b_v:
-                large_mids |= 1 << u
 
     # the core meets the parts only in small neighbourhoods, dropped here
-    drop = small_nbhds | large_mids
-    keep = [[u for u in p if not (drop >> u) & 1] for p in peel.parts]
+    keep = [[u for u in p if not (small_nbhds >> u) & 1] for p in peel.parts]
 
     # bucket the survivors by their attachment to the exceptional core;
     # buckets reaching 2*sqrt((|F|+1)*n) are the ones the argument

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -442,7 +444,7 @@ def test_verify_scans_are_pinned(argv, code, digest):
 def test_negative_order_names_the_option(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
-    assert err == f"error: --n must be >= 0, got {argv[2]}\n"
+    assert err.endswith(f"error: argument --n: must be >= 0, got {argv[2]}\n")
 
 
 def test_order_zero_is_the_empty_graph():
@@ -450,19 +452,29 @@ def test_order_zero_is_the_empty_graph():
     assert code == 0 and out == "?\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "turan"],
-    ["construct", "family", "--n", "9"],
-    ["enumerate", "--n", "4", "--filter", "kr1-free"],
-    ["verify", "thm1"],
-    ["verify", "thm2"],
-    ["verify", "lambda"],
-])
-def test_missing_option_is_usage_error(argv):
-    code, _, err = run_cli(argv)
-    assert code == 2
-    assert err.startswith("error: ") and "requires" in err
-    assert "Traceback" not in err
+_OPTION_ERRORS = [
+    (["construct", "turan"], "construct turan requires --n --r"),
+    (["construct", "family", "--n", "9"], "construct family requires --r"),
+    (["enumerate", "--n", "4", "--filter", "kr1-free"],
+     "--filter kr1-free requires --r"),
+    (["verify", "thm1"], "verify thm1 requires --n (single or lo..hi)"),
+    (["verify", "thm2"], "verify thm2 requires --n (single or lo..hi)"),
+    (["verify", "lambda"], "verify lambda requires --k"),
+    # an option the command does not read
+    (["construct", "groetzsch", "--n", "5"],
+     "construct groetzsch does not read --n"),
+    (["construct", "turan", "--n", "5", "--r", "2", "--m", "3"],
+     "construct turan does not read --m"),
+    (["enumerate", "--n", "4", "--r", "7"],
+     "enumerate --filter none does not read --r"),
+]
+
+
+# positional ids, so a case keeps its id when cases are appended
+@pytest.mark.parametrize("argv,message", _OPTION_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(_OPTION_ERRORS))])
+def test_missing_option_is_usage_error(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
 def test_failed_check_exits_one(monkeypatch, capsys):
@@ -472,6 +484,17 @@ def test_failed_check_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_threshold", broken)
     assert main(["verify", "thm1", "--n", "5"]) == 1
     assert capsys.readouterr().err == "check failed: extremal witness is 2-colourable\n"
+
+
+def test_library_has_no_bare_assert():
+    # python -O strips assert statements, so a check that must keep
+    # running (and turn into exit code 1) raises AssertionError itself
+    package = pathlib.Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_main_entry_direct(capsys):

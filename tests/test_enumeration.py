@@ -140,7 +140,8 @@ def _seen_set_next_level(parents, q):
                     all(parent.has_edge(u, v) for u, v in combinations(c, 2))
                     for c in combinations(inside, q - 1)):
                 continue
-            cert = canonical_certificate_rows(parent.add_vertex(smask).rows, k + 1)
+            rows = [r | (smask >> v & 1) << k for v, r in enumerate(parent.rows)]
+            cert = canonical_certificate_rows(rows + [smask], k + 1)
             if cert not in seen:
                 seen.add(cert)
                 out.append(Graph.from_rows(cert, check=False))

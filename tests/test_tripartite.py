@@ -42,13 +42,13 @@ def test_gadget_graph_extraction():
 @pytest.mark.parametrize("build,covered", [
     (lambda: sat_twin_free(4, 3), {1: 18, 2: 18, 3: 18, 10: 16}),
     (lambda: sat_twin_free(8, 3), {1: 210, 2: 210, 3: 210, 10: 148}),
-    # 4-saturated, from a seeded random greedy saturation: here the B_v
-    # dropped at c_param = 1 cost the certificate two vertices
-    (lambda: from_graph6("K^zMmjcN~Gx^"), {1: 8, 2: 10, 3: 10, 10: 10}),
+    # 4-saturated, from a seeded random greedy saturation: at c_param = 1
+    # every A_v stays out of the core, and the certificate still covers 10
+    (lambda: from_graph6("K^zMmjcN~Gx^"), {1: 10, 2: 10, 3: 10, 10: 10}),
 ], ids=["sat-twin-free-4", "sat-twin-free-8", "saturated-12"])
 def test_large_neighbourhood_branch(build, covered):
-    # a peeled vertex with |A_v| >= c_param keeps A_v out of the core and
-    # drops its B_v instead; the largest |A_v| is 8 on sat_twin_free(8, 3),
+    # a peeled vertex with |A_v| >= c_param keeps A_v out of the core (A_v
+    # still leaves the parts); the largest |A_v| is 8 on sat_twin_free(8, 3),
     # so the default cutoff of 10 never takes that branch there
     g = build()
     for c_param, count in covered.items():

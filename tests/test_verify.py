@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from turanlab import invariants
-from turanlab.canon import are_isomorphic, certificate
+from turanlab.canon import certificate
 from turanlab.constructions import groetzsch_graph
 from turanlab.graph import from_graph6, cycle_graph
 from turanlab.verify import (
@@ -22,7 +22,8 @@ def test_threshold_r2_small():
     by_n = {c["n"]: c for c in rep["cases"]}
     assert by_n[5]["computed_max"] == 5
     assert by_n[5]["extremal_count"] == 1
-    assert are_isomorphic(from_graph6(by_n[5]["witnesses"][0]), cycle_graph(5))
+    assert (certificate(from_graph6(by_n[5]["witnesses"][0]))
+            == certificate(cycle_graph(5)))
     assert by_n[6]["computed_max"] == 7
 
 
