@@ -119,18 +119,26 @@ def _parse_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
-# the integer options of construct; a family reads only those it needs
-_FAMILY_OPTIONS = ("n", "r", "m", "f")
+# each construct option's argparse keywords; a family declares only the
+# options its builder reads, so any other is an unknown option
+_FAMILY_OPTIONS = {
+    **dict.fromkeys(("n", "r", "m", "f"), {"type": int, "required": True}),
+    "l": {"type": int, "default": 1},
+    "variant": {"choices": ["standard", "prime"], "default": "standard"},
+    "no-empty-set": {"action": "store_true",
+                     "help": "exclude the empty independent set"},
+}
 
-# family -> (builder, the options it needs)
+# family -> (builder, the options it reads)
 _FAMILIES = {
     "turan": (lambda a: cons.turan_graph(a.n, a.r), ("n", "r")),
     "extremal": (lambda a: cons.extremal_graph(a.n, a.r), ("n", "r")),
     "family": (lambda a: cons.extremal_family(a.n, a.r, a.l, a.variant),
-               ("n", "r")),
+               ("n", "r", "l", "variant")),
     "groetzsch": (lambda a: cons.groetzsch_graph(), ()),
     "k4f-chi5": (lambda a: cons.k4free_5chromatic(), ()),
-    "tf-chi5": (lambda a: cons.trianglefree_5chromatic(not a.no_empty_set), ()),
+    "tf-chi5": (lambda a: cons.trianglefree_5chromatic(not a.no_empty_set),
+                ("no-empty-set",)),
     "sat3-twins": (lambda a: cons.three_sat_many_twin_classes(a.f, a.n), ("f", "n")),
     "sat-non-blowup": (lambda a: cons.sat_non_blowup(a.m, a.r, a.n), ("m", "r", "n")),
     "sat3-twin-free": (lambda a: cons.three_sat_twin_free(a.m), ("m",)),
@@ -141,6 +149,8 @@ _FAMILIES = {
 _FILTERS = {"none": None, "triangle-free": 3, "k4-free": 4}
 
 
+# argparse cannot declare an option that one value of another requires
+# or forbids, so the two such rules (this one and --budget's) stay checks
 def _filter_q(args: argparse.Namespace) -> int | None:
     if args.filter in _FILTERS:
         if args.r is not None:
@@ -153,15 +163,7 @@ def _filter_q(args: argparse.Namespace) -> int | None:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    build, needs = _FAMILIES[args.family]
-    missing = [f"--{opt}" for opt in needs if getattr(args, opt) is None]
-    if missing:
-        raise ValueError(f"construct {args.family} requires {' '.join(missing)}")
-    unread = [f"--{opt}" for opt in _FAMILY_OPTIONS
-              if opt not in needs and getattr(args, opt) is not None]
-    if unread:
-        raise ValueError(f"construct {args.family} does not read {' '.join(unread)}")
-    g = build(args)
+    g = _FAMILIES[args.family][0](args)
     if args.format == "json":
         _emit_json(args, {"schema": SCHEMA, "command": "construct",
                           "family": args.family, "n": g.n,
@@ -223,13 +225,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.what in ("thm1", "thm2"):
-        if args.n is None:
-            raise ValueError(f"verify {args.what} requires --n (single or lo..hi)")
         check = verify_threshold if args.what == "thm1" else verify_classification
         report = check(args.r, _parse_range(args.n))
     elif args.what == "lambda":
-        if args.k is None:
-            raise ValueError("verify lambda requires --k")
         if args.budget is not None and args.max_order is None:
             raise ValueError("verify lambda --budget requires --max-order")
         report = deficiency_table(args.r, args.k, max_order=args.max_order,
@@ -264,14 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="graph6 input file (default stdin)")
 
     p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument("family", choices=sorted(_FAMILIES))
-    for opt in _FAMILY_OPTIONS:
-        p.add_argument(f"--{opt}", type=int)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--variant", choices=["standard", "prime"], default="standard")
-    p.add_argument("--no-empty-set", action="store_true",
-                   help="exclude the empty independent set in tf-chi5")
-    common(p, graphs_out=True)
+    families = p.add_subparsers(dest="family", required=True)
+    for family in sorted(_FAMILIES):
+        # no abbreviations: a family without --f must not read it as --format
+        f = families.add_parser(family, allow_abbrev=False)
+        for opt in _FAMILIES[family][1]:
+            f.add_argument(f"--{opt}", **_FAMILY_OPTIONS[opt])
+        common(f, graphs_out=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", help="invariant report for input graphs")
@@ -310,11 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     for what in ("thm1", "thm2"):
         c = checks.add_parser(what)
         c.add_argument("--r", type=int, default=2)
-        c.add_argument("--n", help="order or range lo..hi")
+        c.add_argument("--n", required=True, help="order or range lo..hi")
         common(c)
     c = checks.add_parser("lambda")
     c.add_argument("--r", type=int, default=2)
-    c.add_argument("--k", type=int)
+    c.add_argument("--k", type=int, required=True)
     c.add_argument("--max-order", type=int)
     c.add_argument("--budget", type=int,
                    help="most graphs the lambda search examines "

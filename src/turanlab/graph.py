@@ -384,6 +384,7 @@ def from_graph6(text: str) -> Graph:
     else:
         n = data[0] - 63
         body = data[1:]
+    _check_order(n)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:

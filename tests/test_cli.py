@@ -452,21 +452,29 @@ def test_order_zero_is_the_empty_graph():
     assert code == 0 and out == "?\n"
 
 
+# argv and the last line of its stderr: argparse's message for an option
+# the parser declares required or does not declare, the command's own for
+# the conditional rules argparse cannot declare
 _OPTION_ERRORS = [
-    (["construct", "turan"], "construct turan requires --n --r"),
-    (["construct", "family", "--n", "9"], "construct family requires --r"),
+    (["construct", "turan"], "turanlab construct turan: error: "
+     "the following arguments are required: --n, --r"),
+    (["construct", "family", "--n", "9"], "turanlab construct family: error: "
+     "the following arguments are required: --r"),
     (["enumerate", "--n", "4", "--filter", "kr1-free"],
-     "--filter kr1-free requires --r"),
-    (["verify", "thm1"], "verify thm1 requires --n (single or lo..hi)"),
-    (["verify", "thm2"], "verify thm2 requires --n (single or lo..hi)"),
-    (["verify", "lambda"], "verify lambda requires --k"),
+     "error: --filter kr1-free requires --r"),
+    (["verify", "thm1"], "turanlab verify thm1: error: "
+     "the following arguments are required: --n"),
+    (["verify", "thm2"], "turanlab verify thm2: error: "
+     "the following arguments are required: --n"),
+    (["verify", "lambda"], "turanlab verify lambda: error: "
+     "the following arguments are required: --k"),
     # an option the command does not read
     (["construct", "groetzsch", "--n", "5"],
-     "construct groetzsch does not read --n"),
+     "turanlab: error: unrecognized arguments: --n 5"),
     (["construct", "turan", "--n", "5", "--r", "2", "--m", "3"],
-     "construct turan does not read --m"),
+     "turanlab: error: unrecognized arguments: --m 3"),
     (["enumerate", "--n", "4", "--r", "7"],
-     "enumerate --filter none does not read --r"),
+     "error: enumerate --filter none does not read --r"),
 ]
 
 
@@ -474,7 +482,51 @@ _OPTION_ERRORS = [
 @pytest.mark.parametrize("argv,message", _OPTION_ERRORS,
                          ids=[f"argv{i}" for i in range(len(_OPTION_ERRORS))])
 def test_missing_option_is_usage_error(argv, message):
-    assert run_cli(argv) == (2, "", f"error: {message}\n")
+    code, out, err = run_cli(argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)
+    if not message.startswith("turanlab"):
+        assert err == f"{message}\n"
+
+
+# each construct option as written on the command line, and as parsed
+_FAMILY_OPTION_SAMPLES = {
+    "n": (["--n", "9"], 9), "r": (["--r", "3"], 3), "m": (["--m", "4"], 4),
+    "f": (["--f", "2"], 2), "l": (["--l", "2"], 2),
+    "variant": (["--variant", "prime"], "prime"),
+    "no-empty-set": (["--no-empty-set"], True),
+}
+
+
+def _construct_argv(family, options):
+    return ["construct", family,
+            *(word for opt in options for word in _FAMILY_OPTION_SAMPLES[opt][0])]
+
+
+@pytest.mark.parametrize("family,option", [
+    (family, option) for family in sorted(cli._FAMILIES)
+    for option in cli._FAMILY_OPTIONS])
+def test_a_family_takes_only_the_options_it_reads(capsys, family, option):
+    # the parser alone decides: an option the family reads parses, a
+    # required one left out and one it does not read are usage errors
+    reads = cli._FAMILIES[family][1]
+    required = [o for o in reads if cli._FAMILY_OPTIONS[o].get("required")]
+    parse = cli.build_parser().parse_args
+    if option in reads:
+        args = parse(_construct_argv(family, {*required, option}))
+        assert getattr(args, option.replace("-", "_")) == _FAMILY_OPTION_SAMPLES[option][1]
+        if option not in required:
+            return
+        argv = _construct_argv(family, [o for o in required if o != option])
+        message = f"error: the following arguments are required: --{option}"
+    else:
+        argv = _construct_argv(family, [*required, option])
+        message = ("error: unrecognized arguments: "
+                   + " ".join(_FAMILY_OPTION_SAMPLES[option][0]))
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"{message}\n")
 
 
 def test_failed_check_exits_one(monkeypatch, capsys):

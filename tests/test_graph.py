@@ -208,6 +208,9 @@ def test_graph6_malformed():
     # nonzero padding bits: K2 body with a stray low bit
     with pytest.raises(GraphFormatError):
         from_graph6("A" + chr(63 + 33))
+    # an order above MAX_ORDER is rejected from the header, before decoding
+    with pytest.raises(ValueError, match="order must be in 0..4096, got 4097"):
+        from_graph6("~@?@")
 
 
 # -- blow-ups ----------------------------------------------------------------

@@ -113,6 +113,33 @@ def test_r_colorable_examples():
     assert is_r_colorable(Graph(0), 2) == (True, Coloring((), 0))
 
 
+def _colourable_by_counting(g, k):
+    """Whether g is k-colourable, counted and not searched, so it shares no
+    code with the search: with i(S) the number of independent sets of
+    G[S], g is k-colourable iff the sum over vertex sets S of
+    (-1)^(n-|S|) i(S)^k is positive (Bjorklund, Husfeldt and Koivisto,
+    SIAM J. Comput. 39, 2009)."""
+    n = g.n
+    closed = [row | 1 << v for v, row in enumerate(g.rows)]
+    # i(S) = i(S - v) + i(S - N[v]) for the lowest vertex v of S
+    ind = [1] * (1 << n)
+    for s in range(1, 1 << n):
+        v = (s & -s).bit_length() - 1
+        ind[s] = ind[s ^ 1 << v] + ind[s & ~closed[v]]
+    return sum((-1) ** (n - s.bit_count()) * ind[s] ** k
+               for s in range(1 << n)) > 0
+
+
+def test_r_colorable_equals_counting_oracle():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for k in range(n + 1):
+                assert is_r_colorable(g, k)[0] == _colourable_by_counting(g, k), (g.rows, k)
+    # the triangle-free order-9 level at k = 3, where the search branches
+    for g in enumerate_graphs(9, 3):
+        assert is_r_colorable(g, 3)[0] == _colourable_by_counting(g, 3), g.rows
+
+
 def test_chi_at_least_omega_small_orders():
     # equality on complete multipartite instances, inequality in general
     for n in range(1, 9):
