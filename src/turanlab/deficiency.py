@@ -118,6 +118,7 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
     if n < l:
         raise ValueError(f"target order {n} below vertex count {l}")
     degs = h.degrees()
+    m = h.edge_count
     surplus = n - l
     best_w: tuple[int, ...] = ()  # order >= 1: some clique replaces it
     best_e = -1
@@ -125,12 +126,16 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
         cl = list(bits(cmask))
         w = [1] * l
         # d_i = neighbours outside the clique; greedy maximises
-        # sum_{i<j in C} w_i w_j + sum_i d_i w_i
+        # sum_{i<j in C} w_i w_j + sum_i d_i w_i.  A unit on v adds
+        # d_v + inside - w_v edges, inside the clique's total weight
         d = {v: degs[v] - (len(cl) - 1) for v in cl}
+        e = m
+        inside = len(cl)
         for _ in range(surplus):
             v = max(cl, key=lambda u: (d[u] - w[u], -u))
+            e += d[v] + inside - w[v]
             w[v] += 1
-        e = blowup_edge_count(h, w)
+            inside += 1
         if e > best_e:
             best_e = e
             best_w = tuple(w)

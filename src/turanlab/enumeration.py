@@ -109,13 +109,16 @@ def _class_count_estimate(n: int) -> str:
 
 def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
     """Attachment masks S such that adding a vertex joined to S keeps the
-    graph K_q-free, i.e. S induces no K_{q-1}; the empty set included, and
-    one S for each orbit of the twin group.
+    graph K_q-free, i.e. S induces no K_{q-1}, and gives the new vertex
+    least degree in the child; the empty set included, and one S for each
+    orbit of the twin group.
 
-    Open twins (equal rows) and closed twins (rows equal once the pair's
-    own two bits are removed) form classes; the symmetric group on each
-    class is a group of automorphisms of the graph, and the S with a
-    prefix of every class in index order are one per orbit of their
+    With δ the least degree of the graph, the new vertex has least degree
+    exactly when |S| <= δ, or |S| = δ + 1 and S holds every vertex of
+    degree δ.  Open twins (equal rows) and closed twins (rows equal once
+    the pair's own two bits are removed) form classes; the symmetric group
+    on each class is a group of automorphisms of the graph, and the S with
+    a prefix of every class in index order are one per orbit of their
     product.  Masks grow in increasing vertex order, so u is skipped when
     the class member before it is not in S."""
     # before[u]: the bit of the last vertex before u in u's twin class
@@ -128,13 +131,16 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
         if prev is not None:
             before[u] = 1 << prev
         last_open[r] = last_closed[closed] = u
+    delta = min(r.bit_count() for r in rows)
+    low = sum(1 << v for v, r in enumerate(rows) if r.bit_count() == delta)
     out = [0]
     # a K_{q-1} through u inside S means a K_{q-2} in S & N(u)
     need = None if q is None else q - 2
 
-    def grow(smask: int, start: int) -> None:
+    def grow(smask: int, start: int, size: int) -> None:
         for u in range(start, k):
-            if before[u] & ~smask:
+            # the (δ + 1)-th member must complete the vertices of degree δ
+            if before[u] & ~smask or size == delta and low & ~smask & ~(1 << u):
                 continue
             if need is not None:
                 common = rows[u] & smask
@@ -142,9 +148,10 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
                     continue
             nxt = smask | (1 << u)
             out.append(nxt)
-            grow(nxt, u + 1)
+            if size < delta:
+                grow(nxt, u + 1, size + 1)
 
-    grow(0, 0)
+    grow(0, 0, 0)
     return out
 
 
@@ -166,27 +173,19 @@ def _children(parent: int, k: int, q: int | None) -> list[int]:
     accepted one from a later set."""
     rows = tuple(_key_rows(parent, k))
     deg = [r.bit_count() for r in rows]
-    # at[d]: parent vertices of degree d; under[d]: those of degree < d
+    # at[d]: parent vertices of degree d; at[k], and so at[-1], is empty
     at = [0] * (k + 1)
     for v, d in enumerate(deg):
         at[d] |= 1 << v
-    under = [0] * (k + 1)
-    for d in range(k):
-        under[d + 1] = under[d] | at[d]
     seen: set[int] = set()
     out: list[int] = []
     for smask in _extension_sets(rows, k, q):
         d = smask.bit_count()
-        # k, of degree d, has least degree: every parent vertex of
-        # degree < d is joined to k, and none of degree < d - 1 is
-        # (index -1 comes only with d = 0, that is smask = 0)
-        if under[d] & ~smask or under[d - 1] & smask:
-            continue
         child = [r | (((smask >> v) & 1) << k) for v, r in enumerate(rows)]
         child.append(smask)
         cdeg = [r.bit_count() for r in child]
-        # then it has the least sorted neighbour degrees among the
-        # vertices of degree d
+        # k has least degree d (see ``_extension_sets``), and must have the
+        # least sorted neighbour degrees among the vertices of degree d
         own = sorted(cdeg[u] for u in bits(smask))
         same = (at[d] & ~smask) | (at[d - 1] & smask)
         others = {v: sorted(cdeg[u] for u in bits(child[v])) for v in bits(same)}

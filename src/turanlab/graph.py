@@ -304,6 +304,10 @@ def _key_rows(key: int, n: int) -> list[int]:
 
 # -- graph6 ----------------------------------------------------------------
 
+# a graph6 character chr(63 + b) stands for the six bits of b, high first
+_SIX = {chr(63 + b): f"{b:06b}" for b in range(64)}
+_SIX_CHAR = {six: c for c, six in _SIX.items()}
+
 
 def _graph6_head(n: int) -> str:
     if n <= 62:
@@ -312,26 +316,15 @@ def _graph6_head(n: int) -> str:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as graph6: header byte(s) for n, then upper-triangle bits
-    x(0,1), x(0,2), x(1,2), x(0,3), ... packed 6 per byte, each +63."""
-    n = g.n
-    out = [_graph6_head(n)]
-    acc = 0
-    nbits = 0
-    rows = g.rows
-    for j in range(1, n):
-        col = rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    """Encode as graph6: header byte(s) for n, then the upper-triangle bits
+    x(0,1), x(0,2), x(1,2), x(0,3), ... as one bit string, zero-padded to
+    whole 6-bit chunks, each written as its ``_SIX`` character."""
+    # column j is the low j bits of row j, reversed
+    payload = "".join(f"{r & ((1 << j) - 1):0{j}b}"[::-1]
+                      for j, r in enumerate(g.rows) if j)
+    payload += "0" * (-len(payload) % 6)
+    return _graph6_head(g.n) + "".join(
+        [_SIX_CHAR[payload[t:t + 6]] for t in range(0, len(payload), 6)])
 
 
 def _graph6_text(keys: Iterable[int], n: int) -> str:
@@ -364,49 +357,46 @@ def _graph6_text(keys: Iterable[int], n: int) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    """Decode a graph6 line (optionally prefixed with '>>graph6<<')."""
+    """Decode a graph6 line (optionally prefixed with '>>graph6<<').  The
+    order is read and checked before the payload is decoded."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphFormatError("empty graph6 string")
-    data = [ord(c) for c in s]
-    for c in data:
-        if c < 63 or c > 126:
-            raise GraphFormatError(f"character {chr(c)!r} outside graph6 range 63..126")
-    if data[0] == 126:  # '~'
-        if len(data) < 4:
-            raise GraphFormatError("truncated graph6 order header")
-        if data[1] == 126:
-            raise GraphFormatError("graph6 orders above 258047 not supported")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
-    else:
-        n = data[0] - 63
-        body = data[1:]
-    _check_order(n)
+    try:
+        if s[0] == "~":
+            # a bad character in the header outranks its length
+            head = "".join([_SIX[c] for c in s[1:4]])
+            if len(s) < 4:
+                raise GraphFormatError("truncated graph6 order header")
+            if s[1] == "~":
+                raise GraphFormatError("graph6 orders above 258047 not supported")
+            body = s[4:]
+        else:
+            head = _SIX[s[0]]
+            body = s[1:]
+        n = int(head, 2)
+        _check_order(n)
+        payload = "".join([_SIX[c] for c in body])
+    except KeyError as exc:
+        raise GraphFormatError(
+            f"character {exc.args[0]!r} outside graph6 range 63..126") from None
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:
         raise GraphFormatError(f"bit payload too short: need {need} bytes, got {len(body)}")
     if len(body) > need:
         raise GraphFormatError(f"trailing bytes after graph6 payload ({len(body) - need} extra)")
+    # the padding bits must be zero for a bit-exact encoding
+    if "1" in payload[nbits:]:
+        raise GraphFormatError("nonzero padding bits in graph6 payload")
     rows = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            byte = body[k // 6] - 63
-            bit = (byte >> (5 - (k % 6))) & 1
-            k += 1
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    # remaining padding bits must be zero for a bit-exact encoding
-    while k < 6 * need:
-        byte = body[k // 6] - 63
-        if (byte >> (5 - (k % 6))) & 1:
-            raise GraphFormatError("nonzero padding bits in graph6 payload")
-        k += 1
+        # column j holds x(0,j), ..., x(j-1,j): the low j bits of row j
+        col = rows[j] = int(payload[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in bits(col):
+            rows[i] |= 1 << j
     return Graph.from_rows(rows, check=False)
 
 

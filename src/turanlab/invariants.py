@@ -441,6 +441,11 @@ def aes_peel(g: Graph, r: int) -> PeelResult:
     guarantee for their minimum degree; a violation would mean a bug.
     """
     assert_clique_free(g, r + 1)
+    return _peel(g, r)
+
+
+def _peel(g: Graph, r: int) -> PeelResult:
+    """``aes_peel`` of a graph already known to be K_{r+1}-free."""
     alive = list(range(g.n))
     cur = g
     removed: list[int] = []

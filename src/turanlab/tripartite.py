@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .graph import Graph, bits
-from .invariants import CliquePresentError, aes_peel
+from .invariants import CliquePresentError, _peel
 from .saturation import is_saturated
 
 
@@ -82,7 +82,7 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
             f"graph is not 4-saturated: non-edge {missing} has no completion",
             missing)
     n = g.n
-    peel = aes_peel(g, 3)
+    peel = _peel(g, 3)  # is_saturated has found no K4
     exceptional = peel.removed
     part_of = {}
     for i, p in enumerate(peel.parts):

@@ -149,6 +149,39 @@ def _seen_set_next_level(parents, q):
     return out
 
 
+def _brute_extension_sets(rows, q):
+    """Every attachment set of ``rows`` that induces no K_{q-1}, holds a
+    prefix of each twin class (u and v are twins when their rows agree off
+    the pair itself) and gives the new vertex least degree in the child."""
+    k = len(rows)
+    deg = [r.bit_count() for r in rows]
+    delta = min(deg)
+    out = []
+    for smask in range(1 << k):
+        inside = [v for v in range(k) if smask >> v & 1]
+        if q is not None and any(
+                all(rows[u] >> v & 1 for u, v in combinations(c, 2))
+                for c in combinations(inside, q - 1)):
+            continue
+        if any(rows[v] & ~(1 << u) == rows[u] & ~(1 << v) and not smask >> v & 1
+               for u in inside for v in range(u)):
+            continue
+        size = len(inside)
+        if size <= delta or size == delta + 1 and all(
+                smask >> v & 1 for v in range(k) if deg[v] == delta):
+            out.append(smask)
+    return out
+
+
+@pytest.mark.parametrize("q,max_order", [(None, 7), (3, 9), (4, 7)])
+def test_extension_sets_equal_a_brute_force_filter(q, max_order):
+    for level in levels_up_to(max_order - 1, q):
+        for parent in level:
+            got = enumeration._extension_sets(parent.rows, parent.n, q)
+            assert sorted(got) == _brute_extension_sets(parent.rows, q), \
+                (q, parent.rows)
+
+
 @pytest.mark.parametrize("q,max_order", [(None, 7), (3, 9), (4, 7), (5, 7)])
 def test_levels_equal_the_seen_set_generator(q, max_order):
     levels = levels_up_to(max_order, q)

@@ -1,8 +1,10 @@
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
+from turanlab.constructions import sat_twin_free
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
@@ -197,20 +199,56 @@ def test_graph6_from_keys_equals_to_graph6_on_every_small_graph():
 
 
 def test_graph6_malformed():
-    with pytest.raises(GraphFormatError):
-        from_graph6("")
-    with pytest.raises(GraphFormatError):
-        from_graph6("D")  # payload too short for n=5
-    with pytest.raises(GraphFormatError):
-        from_graph6("A" + chr(30))  # character below 63
-    with pytest.raises(GraphFormatError):
-        from_graph6("A_?")  # trailing bytes
+    def error(text):
+        with pytest.raises(ValueError) as err:
+            from_graph6(text)
+        return type(err.value), str(err.value)
+
+    assert error("") == (GraphFormatError, "empty graph6 string")
+    assert error("D") == (  # payload too short for n=5
+        GraphFormatError, "bit payload too short: need 2 bytes, got 0")
+    assert error("A>") == (  # a character below 63
+        GraphFormatError, "character '>' outside graph6 range 63..126")
+    # chr(30) is whitespace to str.strip, so it reads as a short payload
+    assert error("A" + chr(30)) == (
+        GraphFormatError, "bit payload too short: need 1 bytes, got 0")
+    assert error("A_?") == (
+        GraphFormatError, "trailing bytes after graph6 payload (1 extra)")
     # nonzero padding bits: K2 body with a stray low bit
-    with pytest.raises(GraphFormatError):
-        from_graph6("A" + chr(63 + 33))
-    # an order above MAX_ORDER is rejected from the header, before decoding
-    with pytest.raises(ValueError, match="order must be in 0..4096, got 4097"):
-        from_graph6("~@?@")
+    assert error("A" + chr(63 + 33)) == (
+        GraphFormatError, "nonzero padding bits in graph6 payload")
+    assert error("~@?") == (GraphFormatError, "truncated graph6 order header")
+    assert error("~~??") == (
+        GraphFormatError, "graph6 orders above 258047 not supported")
+    # an order above MAX_ORDER is rejected from the header, before the
+    # payload is read: its characters are never checked
+    order = (ValueError, "order must be in 0..4096, got 4097")
+    assert error("~@?@") == order
+    assert error("~@?@" + chr(127)) == order
+    assert error("~@?@" + "~" * 1_398_101) == order
+
+
+def _pin_graph(n):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if (i * i + 3 * j) % 7 < 3])
+
+
+@pytest.mark.parametrize("g,head,length,digest", [
+    # orders 62, 63 and 64 cross the switch to the four-character header
+    (_pin_graph(62), "}KN@MscU", 317,
+     "1a5b20b0d3a3f821ca5ec35c59c3889839c4bf9d288c5333b34fe1f397d4dcf5"),
+    (_pin_graph(63), "~??~KN@M", 330,
+     "d48531728557aeaac06c09bc21eaf141bf4030273225f10daa926c0185e6a6e9"),
+    (_pin_graph(64), "~?@?KN@M", 340,
+     "ed1ad50c81da856756d631c72809101081e8c90ec843ca04765b0e040663b6e3"),
+    (sat_twin_free(8, 3), "~?CD????", 5659,
+     "1db7e5e1dc2047e6a53feb74ab1ce83002a4feb866c7372ab368a6c6da974012"),
+], ids=["62", "63", "64", "sat-twin-free-8-3"])
+def test_graph6_pinned_encodings_round_trip(g, head, length, digest):
+    s = to_graph6(g)
+    assert (s[:8], len(s), hashlib.sha256(s.encode()).hexdigest()) == \
+        (head, length, digest)
+    assert from_graph6(s) == g
 
 
 # -- blow-ups ----------------------------------------------------------------
