@@ -25,12 +25,10 @@ from .enumeration import (
 from .graph import (
     Graph,
     GraphFormatError,
-    blow_up,
     complete_graph,
     complete_multipartite,
     cycle_graph,
     from_graph6,
-    path_graph,
     to_graph6,
     twin_classes,
 )

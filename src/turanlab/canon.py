@@ -41,12 +41,13 @@ from typing import Sequence
 from .graph import Graph, _relabel_rows, bits
 
 
-def _refine(cells: list[list[int]], rows: Sequence[int],
-            fresh: list[int]) -> list[list[int]]:
-    """Equitable refinement of the ordered partition ``cells``: split each
-    cell by its vertices' neighbour counts into the masks ``fresh`` until
-    no cell splits.  Sub-cells are ordered by their count signature, which
-    keeps the cell order isomorphism-invariant.
+def _refine(cells: list[int], rows: Sequence[int],
+            fresh: list[int]) -> list[int]:
+    """Equitable refinement of the ordered partition ``cells``, a list of
+    vertex masks: split each cell by its vertices' neighbour counts into
+    the masks ``fresh`` until no cell splits.  Sub-cells are ordered by
+    their count signature, which keeps the cell order
+    isomorphism-invariant.
 
     ``fresh`` lists, in cell order, the only cells whose counts can still
     split anything: the whole vertex set at the root, ``[1 << v]`` after
@@ -63,34 +64,36 @@ def _refine(cells: list[list[int]], rows: Sequence[int],
     order."""
     shift = len(rows).bit_length()
     while fresh:
-        out: list[list[int]] = []
+        out: list[int] = []
         split: list[int] = []
         for c in cells:
-            if len(c) == 1:
+            if c & (c - 1) == 0:
                 out.append(c)
                 continue
-            groups: dict[int, list[int]] = {}
+            groups: dict[int, int] = {}
+            rest = c  # peeled inline, not by bits(): canon's hottest loop
             if len(fresh) == 1:
                 m = fresh[0]
-                for v in c:
-                    groups.setdefault((rows[v] & m).bit_count(), []).append(v)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    sig = (rows[low.bit_length() - 1] & m).bit_count()
+                    groups[sig] = groups.get(sig, 0) | low
             else:
-                for v in c:
-                    rv = rows[v]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    rv = rows[low.bit_length() - 1]
                     sig = 0
                     for m in fresh:
                         sig = (sig << shift) | (rv & m).bit_count()
-                    groups.setdefault(sig, []).append(v)
+                    groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 out.append(c)
                 continue
             pieces = [groups[sig] for sig in sorted(groups)]
             out.extend(pieces)
-            for piece in pieces[:-1]:
-                m = 0
-                for v in piece:
-                    m |= 1 << v
-                split.append(m)
+            split.extend(pieces[:-1])
         cells = out
         fresh = split
     return cells
@@ -99,7 +102,7 @@ def _refine(cells: list[list[int]], rows: Sequence[int],
 def _canon_search(rows: Sequence[int], k: int, autos: list | None = None
                   ) -> tuple[list[int], list[int]]:
     """Least certificate over the search leaves, for a graph on local
-    vertices 0..k-1, and the labelling of the first leaf that gives it.
+    vertices 0..k-1, k >= 1, and the labelling of the first leaf giving it.
 
     With a list ``autos``, also append pairs (a, b) of vertex lists such
     that the orbits of Aut are the classes of the relation a[i] ~ b[i].
@@ -114,13 +117,13 @@ def _canon_search(rows: Sequence[int], k: int, autos: list | None = None
     best: list[int] | None = None
     best_lab: list[int] = []
 
-    def rec(cells: list[list[int]]) -> None:
+    def rec(cells: list[int]) -> None:
         nonlocal best, best_lab
         for idx, cell in enumerate(cells):
-            if len(cell) > 1:
+            if cell & (cell - 1):
                 break
         else:
-            lab = [c[0] for c in cells]
+            lab = [c.bit_length() - 1 for c in cells]
             cert = _relabel_rows(rows, lab)
             if best is None or cert < best:
                 best, best_lab = cert, lab
@@ -131,7 +134,7 @@ def _canon_search(rows: Sequence[int], k: int, autos: list | None = None
         # the cell is an open twin (equal rows) or closed twin (rows differ
         # exactly in the bits u, v)
         cands: list[int] = []
-        for v in cell:
+        for v in bits(cell):
             rv = rows[v]
             for u in cands:
                 d = rows[u] ^ rv
@@ -141,13 +144,11 @@ def _canon_search(rows: Sequence[int], k: int, autos: list | None = None
                     break
             else:
                 cands.append(v)
-        rest_template = cell
         for v in cands:
-            rest = [u for u in rest_template if u != v]
-            sub = cells[:idx] + [[v], rest] + cells[idx + 1:]
+            sub = cells[:idx] + [1 << v, cell ^ (1 << v)] + cells[idx + 1:]
             rec(_refine(sub, rows, [1 << v]))
 
-    rec(_refine([list(range(k))], rows, [(1 << k) - 1]))
+    rec(_refine([(1 << k) - 1], rows, [(1 << k) - 1]))
     return best, best_lab
 
 

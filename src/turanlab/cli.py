@@ -281,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--filter", default="none",
                    choices=[*_FILTERS, "kr1-free"])
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=_int_at_least(1))
     common(p, graphs_out=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("saturate", help="greedy clique saturation")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_int_at_least(3), required=True)
     common(p, graphs_in=True, graphs_out=True)
     p.set_defaults(func=cmd_saturate)
 
@@ -306,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     # each check takes only the options it reads
     for what in ("thm1", "thm2"):
         c = checks.add_parser(what)
-        c.add_argument("--r", type=int, default=2)
+        c.add_argument("--r", type=_int_at_least(2), default=2)
         c.add_argument("--n", required=True, help="order or range lo..hi")
         common(c)
     c = checks.add_parser("lambda")
-    c.add_argument("--r", type=int, default=2)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--max-order", type=int)
-    c.add_argument("--budget", type=int,
+    c.add_argument("--r", type=_int_at_least(2), default=2)
+    c.add_argument("--k", type=_int_at_least(2), required=True)
+    c.add_argument("--max-order", type=_int_at_least(1))
+    c.add_argument("--budget", type=_int_at_least(0),
                    help="most graphs the lambda search examines "
                         "(needs --max-order)")
     common(c)

@@ -102,6 +102,20 @@ def blowup_edge_count(g: Graph, weights: Sequence[int]) -> int:
     return sum(weights[u] * weights[v] for u, v in g.edges())
 
 
+def _water_level(keys: Sequence[int], units: int) -> int:
+    """The largest level L with at least ``units`` of the values k, k-1,
+    k-2, ... of the keys k at or above L."""
+    # the keys have at least units values at or above lo, and none at hi
+    lo, hi = min(keys) - units, max(keys) + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if sum(max(k - mid + 1, 0) for k in keys) >= units:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
     """Integer weights (all >= 1, summing to n) maximising the size of the
     blow-up of ``h``.
@@ -109,8 +123,8 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
     Any optimal weighting can be shifted so the surplus above the all-ones
     vector sits on a clique, so it suffices to optimise within each maximal
     clique; there the objective is separable concave and a greedy unit
-    allocation is exact.  The best clique wins; ties keep the first in
-    enumeration order.
+    allocation, taken here in closed form, is exact.  The best clique wins;
+    ties keep the first in enumeration order.
     """
     l = h.n
     if l == 0:
@@ -124,18 +138,28 @@ def optimal_blowup(h: Graph, n: int) -> tuple[tuple[int, ...], int]:
     best_e = -1
     for cmask in _maximal_cliques(h):
         cl = list(bits(cmask))
+        # a unit on v adds d_v - w_v edges plus the clique's weight, d_v the
+        # neighbours of v outside the clique.  The greedy (largest d_v - w_v,
+        # then lowest v) so takes the ``surplus`` largest of the values k,
+        # k - 1, ... of the keys k = d_v - 1: every value above the water
+        # level, then one at it for each of the lowest vertices; the
+        # clique's weight adds |C| + (|C| + 1) + ... over the units
+        key = {v: degs[v] - len(cl) for v in cl}
+        level = _water_level(list(key.values()), surplus)
         w = [1] * l
-        # d_i = neighbours outside the clique; greedy maximises
-        # sum_{i<j in C} w_i w_j + sum_i d_i w_i.  A unit on v adds
-        # d_v + inside - w_v edges, inside the clique's total weight
-        d = {v: degs[v] - (len(cl) - 1) for v in cl}
-        e = m
-        inside = len(cl)
-        for _ in range(surplus):
-            v = max(cl, key=lambda u: (d[u] - w[u], -u))
-            e += d[v] + inside - w[v]
-            w[v] += 1
-            inside += 1
+        taken = 0  # the sum of the values taken
+        left = surplus
+        for v in cl:
+            above = max(key[v] - level, 0)
+            w[v] += above
+            taken += above * (key[v] + level + 1) // 2
+            left -= above
+        for v in cl:
+            if left and key[v] >= level:
+                w[v] += 1
+                taken += level
+                left -= 1
+        e = m + taken + surplus * len(cl) + surplus * (surplus - 1) // 2
         if e > best_e:
             best_e = e
             best_w = tuple(w)

@@ -3,7 +3,7 @@
 Vertices are integers 0..n-1.  Adjacency is stored as one Python integer
 per vertex whose set bits are the neighbours, so all neighbourhood algebra
 (intersection, union, popcount) runs on machine words regardless of order.
-Graphs are immutable; every edit returns a new instance.
+Graphs are immutable.
 """
 
 from __future__ import annotations
@@ -126,35 +126,11 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise ValueError("self-loop")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph.from_rows(rows, check=False)
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        return Graph.from_rows(rows, check=False)
-
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced on ``vertices``; vertex i maps to position i."""
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices")
         return Graph.from_rows(_relabel_rows(self.rows, vertices), check=False)
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Relabelled copy where old vertex v becomes ``perm[v]``."""
-        n = self.n
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        order = [0] * n
-        for v, p in enumerate(perm):
-            order[p] = v
-        return Graph.from_rows(_relabel_rows(self.rows, order), check=False)
 
 
 # -- named constructors ---------------------------------------------------
@@ -169,10 +145,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:
@@ -203,38 +175,6 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
         groups.setdefault(r, []).append(v)
     # a dict keeps its keys in insertion order, here that of least vertices
     return tuple(tuple(vs) for vs in groups.values())
-
-
-# -- blow-ups --------------------------------------------------------------
-
-
-def blow_up(g: Graph, weights: Sequence[int]) -> Graph:
-    """Replace vertex v by an independent set of ``weights[v]`` copies,
-    joining copies exactly when the originals were adjacent.
-
-    Copies of vertex v occupy positions offset(v)..offset(v)+w(v)-1 where
-    offsets follow the original vertex order.
-    """
-    if len(weights) != g.n:
-        raise ValueError(f"need {g.n} weights, got {len(weights)}")
-    if any(w < 1 for w in weights):
-        raise ValueError("all blow-up weights must be >= 1")
-    n = sum(weights)
-    _check_order(n)
-    offsets = [0] * g.n
-    acc = 0
-    for v, w in enumerate(weights):
-        offsets[v] = acc
-        acc += w
-    block_mask = [((1 << weights[v]) - 1) << offsets[v] for v in range(g.n)]
-    rows = [0] * n
-    for v in range(g.n):
-        nb = 0
-        for u in bits(g.rows[v]):
-            nb |= block_mask[u]
-        for i in range(offsets[v], offsets[v] + weights[v]):
-            rows[i] = nb
-    return Graph.from_rows(rows, check=False)
 
 
 # -- upper-triangle keys --------------------------------------------------
@@ -307,6 +247,9 @@ def _key_rows(key: int, n: int) -> list[int]:
 # a graph6 character chr(63 + b) stands for the six bits of b, high first
 _SIX = {chr(63 + b): f"{b:06b}" for b in range(64)}
 _SIX_CHAR = {six: c for c, six in _SIX.items()}
+# what may surround a graph6 line; str.strip() would also take the control
+# characters \x1c-\x1f, which are outside graph6
+_BLANK = "\r\n "
 
 
 def _graph6_head(n: int) -> str:
@@ -359,7 +302,7 @@ def _graph6_text(keys: Iterable[int], n: int) -> str:
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 line (optionally prefixed with '>>graph6<<').  The
     order is read and checked before the payload is decoded."""
-    s = text.strip()
+    s = text.strip(_BLANK)
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
@@ -403,6 +346,6 @@ def from_graph6(text: str) -> Graph:
 def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:
     out = []
     for line in lines:
-        if line.strip():
+        if line.strip(_BLANK):
             out.append(from_graph6(line))
     return out

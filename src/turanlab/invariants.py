@@ -191,12 +191,6 @@ def is_clique_free(g: Graph, q: int) -> bool:
     return find_clique(g, q) is None
 
 
-def assert_clique_free(g: Graph, q: int) -> None:
-    w = find_clique(g, q)
-    if w is not None:
-        raise CliquePresentError(f"graph contains a K_{q}", w)
-
-
 # -- colourability -----------------------------------------------------------
 
 
@@ -440,7 +434,9 @@ def aes_peel(g: Graph, r: int) -> PeelResult:
     the degree bound deg(v) <= (3r-4)/(3r-1) * order that such graphs
     guarantee for their minimum degree; a violation would mean a bug.
     """
-    assert_clique_free(g, r + 1)
+    w = find_clique(g, r + 1)
+    if w is not None:
+        raise CliquePresentError(f"graph contains a K_{r + 1}", w)
     return _peel(g, r)
 
 

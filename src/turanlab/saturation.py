@@ -8,9 +8,10 @@ q-2 common neighbours forming a clique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .graph import Graph
-from .invariants import CliquePresentError, find_clique
+from .invariants import CliquePresentError, _best_clique, find_clique
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,10 @@ class SaturationReport:
         return sorted(e for e, w in self.completions.items() if w is None)
 
 
-def _completion(g: Graph, u: int, v: int, q: int) -> tuple[int, ...] | None:
+def _completion(rows: Sequence[int], u: int, v: int, q: int
+                ) -> tuple[int, ...] | None:
     """Lexicographically first K_{q-2} inside the common neighbourhood."""
-    return find_clique(g, q - 2, within=g.rows[u] & g.rows[v])
+    return _best_clique(rows, rows[u] & rows[v], q - 2)
 
 
 def is_saturated(g: Graph, q: int) -> SaturationReport:
@@ -42,7 +44,7 @@ def is_saturated(g: Graph, q: int) -> SaturationReport:
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
-                w = _completion(g, u, v, q)
+                w = _completion(g.rows, u, v, q)
                 completions[(u, v)] = w
                 if w is None:
                     all_completed = False
@@ -63,10 +65,10 @@ def saturate(g: Graph, q: int) -> Graph:
     obstruction = find_clique(g, q)
     if obstruction is not None:
         raise CliquePresentError(f"graph already contains a K_{q}", obstruction)
-    cur = g
+    rows = list(g.rows)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not cur.has_edge(u, v):
-                if _completion(cur, u, v, q) is None:
-                    cur = cur.with_edge(u, v)
-    return cur
+            if not rows[u] >> v & 1 and _completion(rows, u, v, q) is None:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph.from_rows(rows, check=False)

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from turanlab import cli
+from turanlab import cli, invariants, verify
 from turanlab.cli import main
 from turanlab.graph import from_graph6
 
@@ -113,7 +114,7 @@ def test_kr1_free_below_an_edge_is_usage_error_at_every_order(n, r):
     # --r 1 forbids K_2; smaller r forbids nothing meaningful, even at order 0
     code, out, err = run_cli(["enumerate", "--n", n, "--filter", "kr1-free", "--r", r])
     assert code == 2 and out == ""
-    assert err == "error: forbidden clique size must be >= 2\n"
+    assert err.endswith(f"error: argument --r: must be >= 1, got {r}\n")
 
 
 def test_enumerate_infeasible_is_resource_error():
@@ -193,6 +194,27 @@ def test_reports_byte_stable():
 def test_exit_code_on_usage_error():
     code, _, err = run_cli(["analyze"], stdin_text="notagraph6\x01\n")
     assert code == 2
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("\x1f\n", "\\x1f"),
+    ("A_\x1c\n", "\\x1c"),
+    ("A_\n\x1f\nA_\x1c\n", "\\x1f"),
+    ("A_\t\n", "\\t"),
+], ids=["x1f-line", "x1c-after-k2", "stream", "tab"])
+def test_control_character_in_graph6_input_is_usage_error(
+        tmp_path, capsys, text, bad):
+    # only line ends and spaces surround a graph6 line: a control character
+    # is a bad character, never a blank line or a blank end of K2's line
+    infile = tmp_path / "in.g6"
+    infile.write_text(text)
+    assert main(["analyze", "--in", str(infile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: character '{bad}' outside graph6 range 63..126\n"
+    infile.write_text(" >>graph6<<A_ \r\n\n")
+    assert main(["analyze", "--in", str(infile)]) == 0
+    assert json.loads(capsys.readouterr().out)["graphs"][0]["n"] == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,7 +346,7 @@ def test_negative_lambda_budget_is_usage_error():
     code, out, err = run_cli(["verify", "lambda", "--r", "2", "--k", "4",
                               "--max-order", "6", "--budget", "-1"])
     assert code == 2 and out == ""
-    assert err.startswith("error: node budget must be >= 0")
+    assert err.endswith("error: argument --budget: must be >= 0, got -1\n")
 
 
 def test_lambda_budget_without_max_order_is_usage_error():
@@ -536,6 +558,90 @@ def test_failed_check_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_threshold", broken)
     assert main(["verify", "thm1", "--n", "5"]) == 1
     assert capsys.readouterr().err == "check failed: extremal witness is 2-colourable\n"
+
+
+# the package exports the function deficiency under the module's name
+deficiency = importlib.import_module("turanlab.deficiency")
+
+
+def _off_by_one_sum(real):
+    def kernel(g, r):
+        total, clique = real(g, r)
+        return total + 1, clique
+    return kernel
+
+
+def _constant(value):
+    return lambda real: lambda *args, **kwargs: value
+
+
+def _no_deficiency(real):
+    return lambda g, r: deficiency.DeficiencyReport(r, 0, (), ())
+
+
+# the message of a re-check, the kernel that feeds it (module, name, and
+# a wrong version of it from the real one), a command that reaches it and
+# its graph6 input
+_RECHECKS = [
+    ("deficiency formulas disagree: 0 vs 1",
+     deficiency, "_max_degree_sum_clique", _off_by_one_sum,
+     ["blowup-opt", "--n", "7"], "Dhc\n"),  # C5
+    ("2-colouring witness is not proper",
+     invariants, "_k_color", lambda real: lambda rows, n, k, budget: [0] * n,
+     ["verify", "thm1", "--r", "2", "--n", "5"], None),
+    ("gadget for (r=2, k=4) has chromatic number 3",
+     verify, "chromatic_number", _constant((3, None)),
+     ["verify", "lambda", "--r", "2", "--k", "4"], None),
+    ("search minimum 0 is below the lower bound 1",
+     verify, "deficiency", _no_deficiency,
+     ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "5"], None),
+    ("minimum degree exceeds the guaranteed bound; this indicates a solver bug",
+     invariants, "is_r_colorable", _constant((False, None)),
+     ["extract-tripartite"], "E]~o\n"),  # K_{2,2,2}, K4-free and 4-saturated
+]
+
+
+@pytest.mark.parametrize("message,module,name,wrong,argv,graphs", _RECHECKS,
+                         ids=[name for _, _, name, *_ in _RECHECKS])
+def test_a_recheck_fires_on_a_wrong_kernel(
+        monkeypatch, tmp_path, capsys, message, module, name, wrong, argv,
+        graphs):
+    if graphs is not None:
+        infile = tmp_path / "in.g6"
+        infile.write_text(graphs)
+        argv = [*argv, "--in", str(infile)]
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"check failed: {message}\n")
+
+
+# an option whose range the library checks as well, the rest of a command
+# line that reads it, and its least value
+_LIBRARY_RANGES = [
+    ("--q", ["saturate"], 3),
+    ("--r", ["verify", "thm1", "--n", "5"], 2),
+    ("--r", ["verify", "thm2", "--n", "5"], 2),
+    ("--r", ["verify", "lambda", "--k", "4"], 2),
+    ("--k", ["verify", "lambda"], 2),
+    ("--max-order", ["verify", "lambda", "--k", "4"], 1),
+    ("--budget", ["verify", "lambda", "--k", "4", "--max-order", "3"], 0),
+    ("--r", ["enumerate", "--n", "3", "--filter", "kr1-free"], 1),
+]
+
+
+@pytest.mark.parametrize("option,argv,least", _LIBRARY_RANGES,
+                         ids=[" ".join(a[:2]) + o for o, a, _ in _LIBRARY_RANGES])
+def test_a_range_the_library_checks_is_declared_on_its_option(
+        capsys, option, argv, least):
+    # the message names the option, not the library's parameter (the
+    # library's own check says "q must be >= 3")
+    for value in sorted({-1, least - 1}):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, str(value)])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: must be >= {least}, "
+                            f"got {value}\n")
 
 
 def test_library_has_no_bare_assert():

@@ -1,4 +1,5 @@
 import importlib
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from turanlab.constructions import (
     turan_number,
 )
 from turanlab.deficiency import (
+    _maximal_cliques,
     blowup_bound_gap_times_r,
     blowup_edge_count,
     deficiency,
@@ -23,6 +25,7 @@ from turanlab.graph import (
     Graph,
     complete_graph,
     complete_multipartite,
+    bits,
     cycle_graph,
     from_graph6,
 )
@@ -208,6 +211,43 @@ def test_optimal_blowup_matches_oracle_selected():
             _, got = optimal_blowup(h, n)
             best = max(blowup_edge_count(h, w) for w in _all_weightings(h.n, n))
             assert got == best, (h, n)
+
+
+def _greedy_blowup(h, n):
+    """``optimal_blowup`` by its greedy, one unit at a time: per maximal
+    clique, each unit goes to the v of largest d_v - w_v (d_v the
+    neighbours outside the clique), lowest v on ties."""
+    degs = h.degrees()
+    best_w, best_e = (), -1
+    for cmask in _maximal_cliques(h):
+        cl = list(bits(cmask))
+        w = [1] * h.n
+        d = {v: degs[v] - (len(cl) - 1) for v in cl}
+        e = h.edge_count
+        inside = len(cl)
+        for _ in range(n - h.n):
+            v = max(cl, key=lambda u: (d[u] - w[u], -u))
+            e += d[v] + inside - w[v]
+            w[v] += 1
+            inside += 1
+        if e > best_e:
+            best_w, best_e = tuple(w), e
+    return best_w, best_e
+
+
+def test_optimal_blowup_equals_the_unit_greedy_up_to_order_six():
+    for l in range(1, 7):
+        for h in enumerate_graphs(l):
+            for n in (l, l + 1, l + 2, 2 * l + 3, 5 * l + 7):
+                assert optimal_blowup(h, n) == _greedy_blowup(h, n), (h.rows, n)
+
+
+def test_optimal_blowup_is_closed_form_in_the_target():
+    # the unit greedy's time grows with the target: about 27 s at 10**6
+    time_limit = 1.0
+    start = time.perf_counter()
+    assert optimal_blowup(groetzsch_graph(), 10 ** 6)[1] == 249998500007
+    assert time.perf_counter() - start < time_limit
 
 
 def test_optimal_blowup_groetzsch_band():

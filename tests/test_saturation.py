@@ -7,7 +7,6 @@ from turanlab.graph import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    path_graph,
     twin_classes,
 )
 from turanlab.invariants import CliquePresentError, is_clique_free
@@ -25,7 +24,7 @@ def test_report_examples():
     assert rep.saturated and rep.clique_free and rep.obstruction is None
     rep = is_saturated(cycle_graph(5), 3)
     assert rep.saturated
-    rep = is_saturated(path_graph(4), 3)
+    rep = is_saturated(Graph(4, [(0, 1), (1, 2), (2, 3)]), 3)  # P4
     assert not rep.saturated
     assert rep.completions[(0, 3)] is None
     assert (0, 3) in rep.missing()
@@ -50,8 +49,9 @@ def test_saturate_examples():
     star = saturate(Graph(4), 3)
     assert sorted(star.degrees()) == [1, 1, 1, 3]
     assert saturate(cycle_graph(5), 3) == cycle_graph(5)
-    dent = complete_multipartite([2, 2, 2]).without_edge(0, 2)
-    assert saturate(dent, 4) == complete_multipartite([2, 2, 2])
+    k222 = complete_multipartite([2, 2, 2])
+    dent = Graph(6, [e for e in k222.edges() if e != (0, 2)])
+    assert saturate(dent, 4) == k222
 
 
 def test_saturate_rejects_clique():
