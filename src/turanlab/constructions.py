@@ -153,14 +153,13 @@ def _family_member(n: int, r: int, l: int, variant: str) -> Graph:
     return Graph.from_rows(rows, check=False)
 
 
-def _c5_join_turan(n: int, r: int) -> Graph:
-    """C5 joined to the balanced complete (r-2)-partite graph on n-5
-    vertices: the cycle is 0..4, the classes follow in decreasing size.
-    K_{r+1}-free and (r+1)-chromatic for r >= 3 and n >= r+3."""
-    rows = list(complete_multipartite([1] * 5 + turan_class_sizes(n - 5, r - 2)).rows)
-    _cut(rows, [0], [2, 3])  # the five chords of the cycle
-    _cut(rows, [1], [3, 4])
-    _cut(rows, [2], [4])
+def _c5_blowup(sizes: Sequence[int], parts: Sequence[int]) -> Graph:
+    """C5 blown up to class sizes ``sizes`` (cyclic order) joined to the complete
+    multipartite graph on ``parts``; classes are consecutive blocks, C5's first."""
+    rows = list(complete_multipartite([*sizes, *parts]).rows)
+    cycle = _blocks(sizes)
+    for i in range(5):  # the five chords
+        _cut(rows, cycle[i], cycle[(i + 2) % 5])
     return Graph.from_rows(rows, check=False)
 
 

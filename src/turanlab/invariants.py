@@ -56,7 +56,12 @@ class Coloring:
     palette: int
 
     def is_proper(self, g: Graph) -> bool:
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges())
+        """One colour per vertex of g, none shared by two neighbours."""
+        classes: dict[int, int] = {}
+        for v, c in enumerate(self.colors):
+            classes[c] = classes.get(c, 0) | 1 << v
+        return len(self.colors) == g.n and not any(
+            row & classes[c] for row, c in zip(g.rows, self.colors))
 
 
 def _normalized_coloring(raw: Sequence[int]) -> Coloring:

@@ -8,12 +8,12 @@ re-validated with direct predicate checks before they are emitted.
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable
 
 from .canon import certificate
 from .constructions import (
-    _c5_join_turan,
-    extremal_family,
+    _c5_blowup,
     groetzsch_graph,
     k4free_5chromatic,
     threshold_size,
@@ -34,7 +34,7 @@ from .invariants import (
 from .symmetrization import zykov, zykov_reduce
 
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _revalidate_extremal(g: Graph, r: int, size: int) -> None:
@@ -87,23 +87,26 @@ def verify_threshold(r: int, n_values: Iterable[int]) -> dict:
     return {"schema": SCHEMA, "check": "threshold", "r": r, "cases": cases, "ok": ok}
 
 
-def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[int, str]]]:
-    """Certificate -> list of (l, variant) labels over the valid family,
-    plus C5 joined to T(n-5, r-2) for r >= 3, labelled (0, "c5-join"),
-    where it has the threshold size and is isomorphic to no member."""
-    inventory: dict[tuple[int, ...], list[tuple[int, str]]] = {}
-    s = n // r
-    for l in range(1, s):
-        for variant in ("standard", "prime"):
-            try:
-                g = extremal_family(n, r, l, variant)
-            except ValueError:
-                continue
-            inventory.setdefault(certificate(g), []).append((l, variant))
-    if r >= 3 and n >= r + 3:
-        g = _c5_join_turan(n, r)
-        if g.edge_count == threshold_size(n, r):
-            inventory.setdefault(certificate(g), [(0, "c5-join")])
+def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
+    """Certificate -> the (c5, parts) pairs, in generation order, of every
+    blow-up of C5 (class sizes c5, cyclic, least under the cycle's ten
+    symmetries) joined to a complete multipartite graph (r - 2 class sizes
+    parts, non-increasing) with the threshold size, each re-validated."""
+    size = threshold_size(n, r)
+    inventory: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    for s in range(5, n - r + 3):  # s cycle vertices, m = n - s others
+        m = n - s
+        joins = [(p, s * m + (m * m - sum(x * x for x in p)) // 2)  # edges off the cycle
+                 for p in combinations_with_replacement(range(m, 0, -1), r - 2) if sum(p) == m]
+        for cuts in combinations(range(1, s), 4):
+            c5 = tuple(b - a for a, b in zip((0, *cuts), (*cuts, s)))
+            turns = [c5[i:] + c5[:i] for i in range(5)]
+            cycle = sum(a * b for a, b in zip(c5, turns[1]))
+            for parts, edges in joins:
+                if cycle + edges == size and c5 == min(turns + [t[::-1] for t in turns]):
+                    g = _c5_blowup(c5, parts)
+                    _revalidate_extremal(g, r, size)
+                    inventory.setdefault(certificate(g), []).append((c5, parts))
     return inventory
 
 
@@ -124,7 +127,7 @@ def classify_extremal(r: int, n: int) -> dict:
         else:
             matched.append({
                 "graph6": to_graph6(g),
-                "family": [{"l": l, "variant": v} for l, v in labels],
+                "family": [{"c5": list(c5), "parts": list(parts)} for c5, parts in labels],
             })
     ok = not unexplained and bool(extremal)
     return {

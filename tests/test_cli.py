@@ -11,7 +11,7 @@ import pytest
 
 from turanlab import cli, invariants, verify
 from turanlab.cli import main
-from turanlab.graph import from_graph6
+from turanlab.graph import Graph, complete_graph, complete_multipartite, from_graph6
 
 
 def run_cli(args, stdin_text=""):
@@ -33,7 +33,7 @@ def test_construct_json_format():
                             "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["edges"] == 12
 
 
@@ -364,7 +364,7 @@ def test_lambda_budget_without_max_order_is_usage_error():
     (["enumerate", "--n", "8", "--filter", "k4-free"],
      "6ecf2f4a5b3d7023e81d53a7d93365b5473b5ddd68617778beae20c857326e0f"),
     (["enumerate", "--n", "8", "--format", "json"],
-     "69673497756485d5a87858d7efad3f62c7e720648cf4d8b10e459267eebfd064"),
+     "8e0d7701094f66060405b218386d35169fd2303ad8df387d8e1fefb9039c1ccc"),
     (["enumerate", "--n", "4", "--filter", "kr1-free", "--r", "1"],
      "ca4ab673832a7ca85ec146ad9a3e51da720fa97993c5345bc9ca02e1df51658d"),
 ], ids=["all-8", "triangle-free-9", "k4-free-8", "all-8-json", "k2-free-4"])
@@ -380,30 +380,30 @@ def test_enumerate_output_is_byte_stable(argv, digest):
 
 @pytest.mark.parametrize("source,argv,digest", [
     (["construct", "groetzsch"], ["analyze"],
-     "54708c6a64afe3a728537a741421144839af1d43ce17111914ea5175990b7264"),
+     "466acfdfa4d5d26f0b947bed0f87049330b3a46eacd12b5328d1d9cc63769323"),
     (["construct", "turan", "--n", "9", "--r", "3"],
      ["analyze", "--r", "3", "--q", "4"],
-     "9fdd07a6a60c84b868c093ae2ed2f4bac7e6434d5f5cc2408f0f0e0d193de859"),
+     "3f97136898f38f30d6dd02dd83fb3d583d2484c033c5edba09c861d5db9b6ed0"),
     (["construct", "groetzsch"], ["blowup-opt", "--n", "30"],
-     "30000a95df4997862dbb9566741dcd1b9363c12ddf3346bde44ed88d52b5cb28"),
+     "301815ce42f9f78b595662660ec401ef57070bd0b56d41acda3333c6fe5fc830"),
     (["construct", "sat-non-blowup", "--m", "4", "--r", "3", "--n", "40"],
      ["extract-tripartite"],
-     "d5b4575ea9af987a0c57c98142dbc240c4298f0cb5acd12a83c9fb08033bdb56"),
+     "79c5ff5cae8c8c74a298c3deee5312b47699111c84a07d33305a0c86f52e21f2"),
     (["construct", "sat-twin-free", "--m", "8", "--r", "3"], ["extract-tripartite"],
-     "f605e2a9c9b60794c1084b1b094c604253852978773c0f0c941485147ae9a40e"),
+     "fdd56207cfb33e71e964c13984fa53d6bb1fd83ebe2206a6bb99c641490d58a8"),
     (["construct", "turan", "--n", "9", "--r", "3"], ["extract-tripartite"],
-     "42bba64f61f08147fa3aaddddefad0dd7c29ab3ac33e91731643befbfcf9cd97"),
+     "4688aaa5bd524b8b26b75df7f0ad02386ee9527255932d6887bbb8d1ecc10627"),
     (["construct", "sat-twin-free", "--m", "4", "--r", "3"],
      ["extract-tripartite", "--C-param", "3"],
-     "08acbd1b49ff9967743e44636dfcc057b40917bf5f423718f57b1a2da6228467"),
+     "dd0fa9de899bea06f8e43c9b64f5e09c286574ca84cb058378750ec82a769d3e"),
     (None, ["verify", "thm2", "--r", "3", "--n", "7..8"],
-     "3d0028557b728ab6bc7dbf4c45c6f10ea93ba9cee412a4eccc592ffdc8438780"),
+     "41949d101aaaf732504d6792ccbc39569b283b8267309a91470003745cb579be"),
     (None, ["verify", "thm1", "--r", "2", "--n", "5..9"],
-     "fba1507a674b202a531125c9dadfed75f982c762038a06bcfddfbc1cfc4e5275"),
+     "a9c280c63c84869b5f48a09bf5e1bc5eade9ea07ccfd600374e7f63c7d78d99f"),
     (None, ["verify", "lambda", "--r", "2", "--k", "4", "--max-order", "9"],
-     "53733a81e92d23e7bdf01a5838813d441c1fe5acc3a1ac12e651ed924be663d7"),
+     "12006cb07948f523b8625acfd114637d7ba7ee10c2efccb587b2de43888033d5"),
     (None, ["verify", "lemmas"],
-     "4d699781a7bb1e9f68921a11f27e00a4bde7b57b459f70af06f3ef5d8d11fd77"),
+     "2cca9a26c4b5d338aff8453e22e2e062384421d80b4ae0ed2e2cb0b0309313d2"),
 ], ids=["analyze-groetzsch", "analyze-turan-9-3", "blowup-opt-groetzsch",
         "extract-tripartite-sat-non-blowup", "extract-tripartite-sat-twin-free",
         "extract-tripartite-turan-9-3", "extract-tripartite-c3-sat-twin-free",
@@ -430,23 +430,23 @@ _LAMBDA_R2_K3 = ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "6"]
 # is exactly complete
 @pytest.mark.parametrize("argv,code,digest", [
     (_LAMBDA_R2_K3 + ["--budget", "0"], 2,
-     "4696879d6fd8f9def5c986065781e3013640b69cefe5b25bdf55faeb34042d4b"),
+     "9ec0ea923d87b38e8b276a972c4e425425e54dbcea55392f3ad7faab787480cd"),
     (_LAMBDA_R2_K3 + ["--budget", "3"], 2,
-     "65f678e4ada8817f8500c36c20ddad90ddaf502c3e466845f79b8102871252d5"),
+     "e7a445eef44564880ac738f1f0ab7cbb9db27b1a109b201353ef18e2c6e1ce1d"),
     (_LAMBDA_R2_K3 + ["--budget", "27"], 2,
-     "8cd14aae03dab8cd913a3f8a1a5ed3ede4da3c5a8c93e17c12fb3050332ee0cc"),
+     "bc5cf9b824d3e343bb3fcd639028aab9742cd36a9ca4a0d61f572d58a926150a"),
     (_LAMBDA_R2_K3 + ["--budget", "30"], 2,
-     "f096092ff0ab77d519577e592566c835f47c54c2a733d062f4029481bc118dc3"),
+     "587d8a0cf1f0818fa7fd20dab21feb551c09a0599761374411075fc6190bac05"),
     (_LAMBDA_R2_K3 + ["--budget", "64"], 2,
-     "b7b5acede056a2858dd45c3c845b7a3b41998b7d8e8c2451569816494abf2673"),
+     "6ff51d5e27a8585a31263a0b6d12d8d0acfecbac4ad134b7f397d128497cfcb6"),
     (_LAMBDA_R2_K3 + ["--budget", "65"], 0,
-     "70a444579eb37cbc45b2f58c77897c17406f247341bd8774629ee159d502cee6"),
+     "96767720e47f4a57b6cf6e821c45ac60c2b89043e8895a13c1ca408c294da846"),
     (["verify", "lambda", "--r", "3", "--k", "4", "--max-order", "7"], 0,
-     "9c3ac66d4317737f910043efcb7242f6b3ea472b8875ddde568afbefb4a6e6d6"),
+     "dd31b5974a388af10bcb10a64280fb6bb60b7aa222f30ce67648556dae413077"),
     (["verify", "thm2", "--r", "2", "--n", "5..9"], 0,
-     "c47c7281eb18a4b9cbc1ab53355a3b5b195417a30f02a1bab4fa920f92b003b1"),
+     "345f498542a5a565c7495f00ef625d2a0ec58ee88aa9188b341241a35fba4339"),
     (["verify", "thm1", "--r", "3", "--n", "6..8"], 0,
-     "c18fb1ff8a8a3c62f3fd6e5686bac02afc80112a61ca6a3979a14d96a1bd7569"),
+     "0668c7a124d39b2b18c94e2145475c56e5de2b475cf4cef795d392549e17a600"),
 ], ids=["lambda-budget-0", "lambda-budget-3", "lambda-budget-27",
         "lambda-budget-30", "lambda-budget-64", "lambda-budget-65",
         "lambda-r3-k4", "thm2-r2", "thm1-r3"])
@@ -579,6 +579,18 @@ def _no_deficiency(real):
     return lambda g, r: deficiency.DeficiencyReport(r, 0, (), ())
 
 
+def _one_edge_short(real):
+    def build(sizes, parts):
+        g = real(sizes, parts)
+        return Graph(g.n, list(g.edges())[1:])
+    return build
+
+
+def _star_of_its_size(real):
+    # triangle-free and 2-colourable, with as many edges as the real graph
+    return lambda sizes, parts: complete_multipartite([1, real(sizes, parts).edge_count])
+
+
 # the message of a re-check, the kernel that feeds it (module, name, and
 # a wrong version of it from the real one), a command that reaches it and
 # its graph6 input
@@ -598,6 +610,15 @@ _RECHECKS = [
     ("minimum degree exceeds the guaranteed bound; this indicates a solver bug",
      invariants, "is_r_colorable", _constant((False, None)),
      ["extract-tripartite"], "E]~o\n"),  # K_{2,2,2}, K4-free and 4-saturated
+    ("extremal witness contains a K_3",
+     verify, "enumerate_graphs", _constant([complete_graph(5)]),
+     ["verify", "thm1", "--r", "2", "--n", "5"], None),
+    ("extremal witness has 4 edges, not 5",
+     verify, "_c5_blowup", _one_edge_short,
+     ["verify", "thm2", "--r", "2", "--n", "5"], None),
+    ("extremal witness is 2-colourable",
+     verify, "_c5_blowup", _star_of_its_size,
+     ["verify", "thm2", "--r", "2", "--n", "5"], None),
 ]
 
 

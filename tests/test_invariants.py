@@ -101,6 +101,19 @@ def test_chromatic_witness_proper():
         assert col.palette == chi == max(col.colors) + 1
 
 
+def test_is_proper_matches_the_edge_rule():
+    rng = random.Random(5)
+    for g in (cycle_graph(5), groetzsch_graph(), complete_multipartite([3, 2, 1])):
+        for _ in range(200):
+            colors = tuple(rng.randrange(4) for _ in range(g.n))
+            expected = all(colors[u] != colors[v] for u, v in g.edges())
+            assert Coloring(colors, 4).is_proper(g) == expected
+    # a colouring of another order is not one of g, even if no edge is
+    # monochromatic: the edge rule would accept the first and fail on the second
+    assert not Coloring((0, 1, 0), 2).is_proper(complete_graph(2))
+    assert not Coloring((0, 1), 2).is_proper(cycle_graph(4))
+
+
 def test_r_colorable_examples():
     assert not is_r_colorable(cycle_graph(5), 2)[0]
     ok, col = is_r_colorable(complete_multipartite([3, 3, 3]), 3)
