@@ -3,7 +3,6 @@
 from .canon import certificate
 from .constructions import (
     extremal_family,
-    extremal_graph,
     groetzsch_graph,
     k4free_5chromatic,
     sat_non_blowup,

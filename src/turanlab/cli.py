@@ -132,7 +132,7 @@ _FAMILY_OPTIONS = {
 # family -> (builder, the options it reads)
 _FAMILIES = {
     "turan": (lambda a: cons.turan_graph(a.n, a.r), ("n", "r")),
-    "extremal": (lambda a: cons.extremal_graph(a.n, a.r), ("n", "r")),
+    "extremal": (lambda a: cons.extremal_family(a.n, a.r), ("n", "r")),
     "family": (lambda a: cons.extremal_family(a.n, a.r, a.l, a.variant),
                ("n", "r", "l", "variant")),
     "groetzsch": (lambda a: cons.groetzsch_graph(), ()),

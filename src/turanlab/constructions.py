@@ -79,85 +79,54 @@ def _cut(rows: list[int], a: Sequence[int], b: Sequence[int]) -> None:
             rows[v] &= ~mask
 
 
-def _extremal_base(n: int, r: int) -> tuple[list[list[int]], int, int]:
-    """Vertex classes of the balanced (n-1)-vertex r-partite base and the
-    indices of the two attachment classes (W-host first).
+def extremal_family(n: int, r: int, l: int = 1, variant: str = "standard") -> Graph:
+    """Member of the extremal family at the threshold size; ``l = 1``,
+    ``standard`` is the tight example for the non-colourability threshold.
 
-    Vertices 0..n-2 fill the classes in decreasing size order; vertex n-1
-    is the extra vertex.  For n > 2r the attachment classes are the two
-    smallest, for r+3 <= n <= 2r the two largest (of size 2).  When the
-    two differ in size the host is the larger one.
+    Vertices 0..n-2 fill the classes of the balanced complete r-partite
+    graph in decreasing size order, and u = n-1 is the extra vertex.  Two
+    classes host u's attachment: the two smallest for n > 2r, the two
+    largest (of size 2) for r+3 <= n <= 2r; H is the larger when they
+    differ, O the other.  u is joined to the first ``l`` vertices W of H,
+    to the first vertex v2 of O and to every other class, and the edges
+    between W and v2 are removed: C5 blown up on u, W, O - v2, H - W, v2,
+    joined to the other classes.
+
+    prime swaps H and O; it gives a graph isomorphic to no standard member
+    exactly when |H| = |O| + 1, so it is only defined then.  Valid for
+    1 <= l < |H|: joining u to a whole class gives an r-colourable graph.
     """
+    if variant not in ("standard", "prime"):
+        raise ValueError(f"unknown variant {variant!r}")
     if r < 2:
         raise ValueError("r must be >= 2")
     if n < r + 3:
         raise ValueError(f"need n >= r+3 = {r + 3}")
     _check_order(n)
     classes = _blocks(turan_class_sizes(n - 1, r))
-    if n >= 2 * r + 1:
-        host, other = r - 2, r - 1  # two smallest; sizes[host] >= sizes[other]
-    else:
-        host, other = 0, 1  # two largest, both of size 2
-    return classes, host, other
-
-
-def extremal_graph(n: int, r: int) -> Graph:
-    """The tight example for the non-colourability threshold: a balanced
-    complete r-partite graph on n-1 vertices plus a vertex u joined to two
-    chosen classes in one vertex each (v1, v2) and to every other class
-    fully, with the edge v1 v2 removed.  u is vertex n-1; v1, v2 are the
-    first vertices of their classes."""
-    return _family_member(n, r, 1, "standard")
-
-
-def extremal_family(n: int, r: int, l: int, variant: str = "standard") -> Graph:
-    """Member of the extremal family at the threshold size.
-
-    standard: u is joined to the first ``l`` vertices W of the host class
-    (v1 included) and to v2; the edges between W and v2 are removed.
-    prime: the mirrored move with the roles of the two attachment classes
-    swapped; it yields a graph not isomorphic to any standard member
-    exactly when the two attachment classes differ in size, so it is only
-    defined then (host one larger than the other).
-
-    Valid for 1 <= l <= floor(n/r) - 1; l = host size is rejected because
-    joining u to a whole class gives an r-colourable graph.
-    """
-    # r < 2 is left to the shared base, which rejects it
-    if r >= 2 and not 1 <= l <= n // r - 1:
-        raise ValueError(f"l must be in 1..{n // r - 1}, got {l}")
-    return _family_member(n, r, l, variant)
-
-
-def _family_member(n: int, r: int, l: int, variant: str) -> Graph:
-    if variant not in ("standard", "prime"):
-        raise ValueError(f"unknown variant {variant!r}")
-    classes, host, other = _extremal_base(n, r)
+    pair = (r - 2, r - 1) if n >= 2 * r + 1 else (0, 1)
+    h, o = (classes[i] for i in pair)
     if variant == "prime":
-        if len(classes[host]) != len(classes[other]) + 1:
+        if len(h) != len(o) + 1:
             raise ValueError(
                 "prime variant needs attachment classes of different sizes "
                 "(n divisible by r with n >= 3r; for r = 2 even n >= 6)")
-        host, other = other, host
-    if l > len(classes[host]) - 1:
-        # joining u to a whole class yields an r-colourable graph
-        raise ValueError(f"l must be at most {len(classes[host]) - 1} "
-                         f"for the {variant} variant at (n={n}, r={r})")
-    # u starts joined to every base vertex and is cut from all of the
-    # two attachment classes but W and v2
-    rows = list(complete_multipartite([len(c) for c in classes] + [1]).rows)
-    w_set = classes[host][:l]
-    v_other = classes[other][:1]
-    _cut(rows, [n - 1], classes[host][l:] + classes[other][1:])
-    _cut(rows, v_other, w_set)
-    return Graph.from_rows(rows, check=False)
+        h, o = o, h
+    if not 1 <= l < len(h):
+        raise ValueError(f"l must be in 1..{len(h) - 1} for the {variant} "
+                         f"variant at (n={n}, r={r}), got {l}")
+    others = [c for i, c in enumerate(classes) if i not in pair]
+    return _c5_blowup([[n - 1], h[:l], o[1:], h[l:], o[:1]], others)
 
 
-def _c5_blowup(sizes: Sequence[int], parts: Sequence[int]) -> Graph:
-    """C5 blown up to class sizes ``sizes`` (cyclic order) joined to the complete
-    multipartite graph on ``parts``; classes are consecutive blocks, C5's first."""
-    rows = list(complete_multipartite([*sizes, *parts]).rows)
-    cycle = _blocks(sizes)
+def _c5_blowup(cycle: Sequence[Sequence[int]], parts: Sequence[Sequence[int]]) -> Graph:
+    """C5 blown up on the vertex classes ``cycle`` (cyclic order) joined to
+    the complete multipartite graph on the classes ``parts``; together the
+    classes are the vertices 0..n-1."""
+    classes = [*cycle, *parts]
+    rows = [0] * sum(map(len, classes))
+    for a, b in combinations(classes, 2):
+        _join(rows, a, b)
     for i in range(5):  # the five chords
         _cut(rows, cycle[i], cycle[(i + 2) % 5])
     return Graph.from_rows(rows, check=False)

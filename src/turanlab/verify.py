@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .canon import certificate
 from .constructions import (
+    _blocks,
     _c5_blowup,
     groetzsch_graph,
     k4free_5chromatic,
@@ -104,16 +105,17 @@ def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[tuple[i
             cycle = sum(a * b for a, b in zip(c5, turns[1]))
             for parts, edges in joins:
                 if cycle + edges == size and c5 == min(turns + [t[::-1] for t in turns]):
-                    g = _c5_blowup(c5, parts)
+                    blocks = _blocks([*c5, *parts])
+                    g = _c5_blowup(blocks[:5], blocks[5:])
                     _revalidate_extremal(g, r, size)
                     inventory.setdefault(certificate(g), []).append((c5, parts))
     return inventory
 
 
 def classify_extremal(r: int, n: int) -> dict:
-    """Every extremal graph must be isomorphic to a family member.  When
-    the maximum misses the threshold there are no extremal graphs of the
-    predicted size, and the check fails."""
+    """One case of ``verify_classification``: every extremal graph must be
+    isomorphic to a family member; with the maximum off the threshold there
+    are none of the predicted size, and the check fails."""
     best, extremal, predicted, _ = _threshold_case(r, n)
     if best != predicted:
         extremal = []
@@ -131,9 +133,6 @@ def classify_extremal(r: int, n: int) -> dict:
             })
     ok = not unexplained and bool(extremal)
     return {
-        "schema": SCHEMA,
-        "check": "classification",
-        "r": r,
         "n": n,
         "threshold": predicted,
         "extremal_count": len(extremal),

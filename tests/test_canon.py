@@ -19,7 +19,7 @@ from turanlab.canon import (
     canonical_labelling,
     certificate,
 )
-from turanlab.constructions import extremal_graph, groetzsch_graph, turan_graph
+from turanlab.constructions import extremal_family, groetzsch_graph, turan_graph
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
@@ -176,7 +176,7 @@ def test_isomorphism_examples():
     assert certificate(complete_graph(3)) == certificate(cycle_graph(3))
     assert (certificate(Graph(4, [(0, 1), (1, 2), (2, 3)]))
             != certificate(Graph(4, [(0, 1), (0, 2), (0, 3)])))
-    assert certificate(extremal_graph(5, 2)) == certificate(cycle_graph(5))
+    assert certificate(extremal_family(5, 2)) == certificate(cycle_graph(5))
     assert certificate(Graph(0)) == ()
 
 

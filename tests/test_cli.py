@@ -313,6 +313,13 @@ def test_turan_with_more_classes_than_vertices_is_complete(r):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "D~{\n", "")
 
 
+@pytest.mark.parametrize("family", ["family", "extremal"])
+def test_family_l_one_is_extremal_below_twice_r(family):
+    # at r + 3 <= n < 2r the host class has 2 vertices, so l = 1 is valid
+    # though it exceeds n // r - 1 = 0
+    assert run_cli(["construct", family, "--n", "7", "--r", "4"]) == (0, "FM~|W\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["extremal", "--n", "5", "--r", "1"],
     ["family", "--n", "6", "--r", "1", "--l", "2"],
@@ -397,7 +404,7 @@ def test_enumerate_output_is_byte_stable(argv, digest):
      ["extract-tripartite", "--C-param", "3"],
      "dd0fa9de899bea06f8e43c9b64f5e09c286574ca84cb058378750ec82a769d3e"),
     (None, ["verify", "thm2", "--r", "3", "--n", "7..8"],
-     "41949d101aaaf732504d6792ccbc39569b283b8267309a91470003745cb579be"),
+     "fdd829374a0423933e2599b6db2ef0497137632f9f189e957771b5ac58dc9843"),
     (None, ["verify", "thm1", "--r", "2", "--n", "5..9"],
      "a9c280c63c84869b5f48a09bf5e1bc5eade9ea07ccfd600374e7f63c7d78d99f"),
     (None, ["verify", "lambda", "--r", "2", "--k", "4", "--max-order", "9"],
@@ -444,7 +451,7 @@ _LAMBDA_R2_K3 = ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "6"]
     (["verify", "lambda", "--r", "3", "--k", "4", "--max-order", "7"], 0,
      "dd31b5974a388af10bcb10a64280fb6bb60b7aa222f30ce67648556dae413077"),
     (["verify", "thm2", "--r", "2", "--n", "5..9"], 0,
-     "345f498542a5a565c7495f00ef625d2a0ec58ee88aa9188b341241a35fba4339"),
+     "9672ec9464096c15cbea30b9e6174536ec18d13f1b175bc94d6507465ca598d3"),
     (["verify", "thm1", "--r", "3", "--n", "6..8"], 0,
      "0668c7a124d39b2b18c94e2145475c56e5de2b475cf4cef795d392549e17a600"),
 ], ids=["lambda-budget-0", "lambda-budget-3", "lambda-budget-27",
@@ -580,50 +587,79 @@ def _no_deficiency(real):
 
 
 def _one_edge_short(real):
-    def build(sizes, parts):
-        g = real(sizes, parts)
+    def build(cycle, parts):
+        g = real(cycle, parts)
         return Graph(g.n, list(g.edges())[1:])
     return build
 
 
 def _star_of_its_size(real):
     # triangle-free and 2-colourable, with as many edges as the real graph
-    return lambda sizes, parts: complete_multipartite([1, real(sizes, parts).edge_count])
+    return lambda cycle, parts: complete_multipartite([1, real(cycle, parts).edge_count])
 
 
-# the message of a re-check, the kernel that feeds it (module, name, and
-# a wrong version of it from the real one), a command that reaches it and
-# its graph6 input
-_RECHECKS = [
-    ("deficiency formulas disagree: 0 vs 1",
-     deficiency, "_max_degree_sum_clique", _off_by_one_sum,
-     ["blowup-opt", "--n", "7"], "Dhc\n"),  # C5
-    ("2-colouring witness is not proper",
-     invariants, "_k_color", lambda real: lambda rows, n, k, budget: [0] * n,
-     ["verify", "thm1", "--r", "2", "--n", "5"], None),
-    ("gadget for (r=2, k=4) has chromatic number 3",
-     verify, "chromatic_number", _constant((3, None)),
-     ["verify", "lambda", "--r", "2", "--k", "4"], None),
-    ("search minimum 0 is below the lower bound 1",
-     verify, "deficiency", _no_deficiency,
-     ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "5"], None),
-    ("minimum degree exceeds the guaranteed bound; this indicates a solver bug",
-     invariants, "is_r_colorable", _constant((False, None)),
-     ["extract-tripartite"], "E]~o\n"),  # K_{2,2,2}, K4-free and 4-saturated
-    ("extremal witness contains a K_3",
-     verify, "enumerate_graphs", _constant([complete_graph(5)]),
-     ["verify", "thm1", "--r", "2", "--n", "5"], None),
-    ("extremal witness has 4 edges, not 5",
-     verify, "_c5_blowup", _one_edge_short,
-     ["verify", "thm2", "--r", "2", "--n", "5"], None),
-    ("extremal witness is 2-colourable",
-     verify, "_c5_blowup", _star_of_its_size,
-     ["verify", "thm2", "--r", "2", "--n", "5"], None),
-]
+def _one_colour(real):
+    return lambda rows, n, k, budget: [0] * n
 
 
-@pytest.mark.parametrize("message,module,name,wrong,argv,graphs", _RECHECKS,
-                         ids=[name for _, _, name, *_ in _RECHECKS])
+# case id -> the message of a re-check, the kernel that feeds it (module,
+# name, and a wrong version of it from the real one), a command that
+# reaches it and its graph6 input; the ids are written out, so a new case
+# renames no other
+_RECHECKS = {
+    "_max_degree_sum_clique": (
+        "deficiency formulas disagree: 0 vs 1",
+        deficiency, "_max_degree_sum_clique", _off_by_one_sum,
+        ["blowup-opt", "--n", "7"], "Dhc\n"),  # C5
+    "_k_color": (
+        "2-colouring witness is not proper",
+        invariants, "_k_color", _one_colour,
+        ["verify", "thm1", "--r", "2", "--n", "5"], None),
+    "chromatic_number": (
+        "gadget for (r=2, k=4) has chromatic number 3",
+        verify, "chromatic_number", _constant((3, None)),
+        ["verify", "lambda", "--r", "2", "--k", "4"], None),
+    "deficiency": (
+        "search minimum 0 is below the lower bound 1",
+        verify, "deficiency", _no_deficiency,
+        ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "5"], None),
+    "is_r_colorable": (
+        "minimum degree exceeds the guaranteed bound; this indicates a solver bug",
+        invariants, "is_r_colorable", _constant((False, None)),
+        ["extract-tripartite"], "E]~o\n"),  # K_{2,2,2}, K4-free and 4-saturated
+    "enumerate_graphs": (
+        "extremal witness contains a K_3",
+        verify, "enumerate_graphs", _constant([complete_graph(5)]),
+        ["verify", "thm1", "--r", "2", "--n", "5"], None),
+    "_c5_blowup0": (
+        "extremal witness has 4 edges, not 5",
+        verify, "_c5_blowup", _one_edge_short,
+        ["verify", "thm2", "--r", "2", "--n", "5"], None),
+    "_c5_blowup1": (
+        "extremal witness is 2-colourable",
+        verify, "_c5_blowup", _star_of_its_size,
+        ["verify", "thm2", "--r", "2", "--n", "5"], None),
+    # DSATUR's 3 colours on C5 leave k = 2 to the search, whose witness
+    # _chromatic_number checks before analyze_graph does
+    "_k_color-analyze": (
+        "2-colouring witness is not a proper 2-colouring",
+        invariants, "_k_color", _one_colour,
+        ["analyze"], "Dhc\n"),  # C5
+    # on K2 DSATUR's 1 colour is below the clique number, so no search
+    # runs and analyze_graph's check is the only one its colouring meets
+    "dsatur_coloring": (
+        "chromatic witness is not a proper colouring",
+        invariants, "dsatur_coloring", _constant(invariants.Coloring((0, 0), 1)),
+        ["analyze"], "A_\n"),  # K2
+    "clique_number": (
+        "clique witness (0, 2) is not a clique",
+        verify, "clique_number", _constant((2, (0, 2))),
+        ["analyze"], "Bg\n"),  # the path 0-1-2
+}
+
+
+@pytest.mark.parametrize("message,module,name,wrong,argv,graphs",
+                         _RECHECKS.values(), ids=list(_RECHECKS))
 def test_a_recheck_fires_on_a_wrong_kernel(
         monkeypatch, tmp_path, capsys, message, module, name, wrong, argv,
         graphs):

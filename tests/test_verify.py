@@ -79,9 +79,9 @@ def test_family_inventory_prime_membership():
 
 @pytest.mark.parametrize("n,r,g6", [(9, 3, "H?~vnv{"), (7, 4, "FLr~w"), (8, 5, "GLr~~{")])
 def test_family_inventory_holds_c5_joined_to_a_turan_graph(n, r, g6):
-    # C5 joined to T(n-5, r-2) is extremal where no (l, variant) member
-    # is isomorphic to it: at (9, 3) the family has another graph, at
-    # (7, 4) and (8, 5) it has none
+    # C5 joined to T(n-5, r-2) is extremal: at (9, 3) no (l, variant)
+    # member is isomorphic to it, and at (7, 4) and (8, 5) it is the only
+    # member, l = 1 standard
     parts = tuple(turan_class_sizes(n - 5, r - 2))
     assert family_inventory(n, r)[certificate(from_graph6(g6))] == [((1,) * 5, parts)]
 
@@ -101,7 +101,7 @@ def test_family_inventory_holds_every_l_variant_member():
     for r in range(2, 6):
         for n in range(r + 3, 21):
             inv = family_inventory(n, r)
-            for l in range(1, n // r):
+            for l in range(1, n):  # the builder alone says which l it takes
                 for variant in ("standard", "prime"):
                     try:
                         g = extremal_family(n, r, l, variant)
@@ -109,7 +109,7 @@ def test_family_inventory_holds_every_l_variant_member():
                         continue
                     members += 1
                     assert certificate(g) in inv, (n, r, l, variant)
-    assert members == 226
+    assert members == 229
 
 
 def test_family_inventory_holds_the_order_10_graph_the_old_family_missed():
