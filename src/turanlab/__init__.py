@@ -34,9 +34,7 @@ from .graph import (
 from .invariants import (
     CliquePresentError,
     Coloring,
-    PeelResult,
     SearchBudgetExceeded,
-    aes_peel,
     chromatic_number,
     clique_number,
     is_clique_free,

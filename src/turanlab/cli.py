@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -199,9 +200,11 @@ def _blowup_entry(g: Graph, args: argparse.Namespace) -> dict:
 
 def _tripartite_entry(g: Graph, args: argparse.Namespace) -> dict:
     cert = extract_tripartite(g, c_param=args.c_param)
-    return {"parts": [list(p) for p in cert.parts], "covered": cert.covered,
-            "order": cert.order, "fraction_num": cert.fraction.numerator,
-            "fraction_den": cert.fraction.denominator}
+    covered, order = cert.covered, cert.order
+    d = math.gcd(covered, order)  # 0 only on the order-0 graph, which covers 0/1
+    num, den = (covered // d, order // d) if d else (0, 1)
+    return {"parts": [list(p) for p in cert.parts], "covered": covered,
+            "order": order, "fraction_num": num, "fraction_den": den}
 
 
 # report command -> the entry it builds for one input graph

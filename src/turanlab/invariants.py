@@ -430,23 +430,16 @@ def _chromatic_number(g: Graph, lower: int, node_budget: int | None = None
 # -- AES peeling -------------------------------------------------------------
 
 
-def aes_peel(g: Graph, r: int) -> PeelResult:
+def _peel(g: Graph, r: int) -> PeelResult:
     """While the graph is not r-colourable, remove a minimum-degree vertex
     (lowest index on ties); return the removals and an r-partition of the
     remainder.
 
-    Requires a K_{r+1}-free input.  Each removed vertex is checked against
-    the degree bound deg(v) <= (3r-4)/(3r-1) * order that such graphs
-    guarantee for their minimum degree; a violation would mean a bug.
+    Requires a K_{r+1}-free input, which the caller has checked.  Each
+    removed vertex is checked against the degree bound
+    deg(v) <= (3r-4)/(3r-1) * order that such graphs guarantee for their
+    minimum degree; a violation would mean a bug.
     """
-    w = find_clique(g, r + 1)
-    if w is not None:
-        raise CliquePresentError(f"graph contains a K_{r + 1}", w)
-    return _peel(g, r)
-
-
-def _peel(g: Graph, r: int) -> PeelResult:
-    """``aes_peel`` of a graph already known to be K_{r+1}-free."""
     alive = list(range(g.n))
     cur = g
     removed: list[int] = []

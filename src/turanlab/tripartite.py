@@ -14,7 +14,6 @@ certificate is re-validated from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .graph import Graph, bits
@@ -32,10 +31,6 @@ class TripartiteCertificate:
     @property
     def covered(self) -> int:
         return sum(len(p) for p in self.parts)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.covered, self.order) if self.order else Fraction(0)
 
 
 class CertificateError(ValueError):

@@ -188,8 +188,7 @@ def deficiency_search(r: int, k: int, max_order: int,
     ``node_budget`` caps the graphs examined: the level it runs out in is
     cut there, no later level is built and the search is flagged
     incomplete.  Once the value reaches the lower bound, no later level
-    can improve it or its minimal order, so those levels are counted
-    without being tested.
+    can improve it or its minimal order, so the search stops there.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, not {node_budget}")
@@ -202,6 +201,8 @@ def deficiency_search(r: int, k: int, max_order: int,
     examined = 0
     complete = True
     for m in range(1, max_order + 1):
+        if best == lb:  # reached at a lower order: nothing here improves it
+            break
         left = None if node_budget is None else node_budget - examined
         if left == 0:  # spent exactly at the end of the last level
             complete = False
@@ -211,8 +212,6 @@ def deficiency_search(r: int, k: int, max_order: int,
             level = level[:left]
             complete = False
         examined += len(level)
-        if best == lb:  # reached at a lower order: nothing here improves it
-            continue
         for g in level:
             rep = _qualify(g, r, k)
             if rep is None:

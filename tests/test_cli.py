@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
-from turanlab import cli, invariants, verify
+from turanlab import cli, invariants, tripartite, verify
 from turanlab.cli import main
 from turanlab.graph import Graph, complete_graph, complete_multipartite, from_graph6
+from turanlab.invariants import PeelResult
 
 
 def run_cli(args, stdin_text=""):
@@ -146,6 +147,12 @@ def test_extract_tripartite_command():
     assert code == 0
     entry = json.loads(out)["graphs"][0]
     assert entry["covered"] == 12 and entry["fraction_num"] == 1
+    # the order-0 graph covers 0 of 0 vertices, reported as 0/1
+    code, out, _ = run_cli(["extract-tripartite"], stdin_text="?\n")
+    assert code == 0
+    entry = json.loads(out)["graphs"][0]
+    assert (entry["covered"], entry["order"]) == (0, 0)
+    assert (entry["fraction_num"], entry["fraction_den"]) == (0, 1)
 
 
 def test_verify_thm1_range():
@@ -432,24 +439,24 @@ _LAMBDA_R2_K3 = ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "6"]
 
 
 # orders 1-6 hold 1, 3, 6, 13, 27 and 65 triangle-free graphs in total and
-# the value reaches its lower bound 1 at order 5: budget 27 ends on a level
-# boundary, 30 cuts the last level after the search stops testing, and 65
-# is exactly complete
+# the value reaches its lower bound 1 at order 5, where the search stops:
+# budgets 27, 30, 64 and 65 all exit 0 with the same report, examined 27,
+# and order 6 is never built
 @pytest.mark.parametrize("argv,code,digest", [
     (_LAMBDA_R2_K3 + ["--budget", "0"], 2,
      "9ec0ea923d87b38e8b276a972c4e425425e54dbcea55392f3ad7faab787480cd"),
     (_LAMBDA_R2_K3 + ["--budget", "3"], 2,
      "e7a445eef44564880ac738f1f0ab7cbb9db27b1a109b201353ef18e2c6e1ce1d"),
-    (_LAMBDA_R2_K3 + ["--budget", "27"], 2,
-     "bc5cf9b824d3e343bb3fcd639028aab9742cd36a9ca4a0d61f572d58a926150a"),
-    (_LAMBDA_R2_K3 + ["--budget", "30"], 2,
-     "587d8a0cf1f0818fa7fd20dab21feb551c09a0599761374411075fc6190bac05"),
-    (_LAMBDA_R2_K3 + ["--budget", "64"], 2,
-     "6ff51d5e27a8585a31263a0b6d12d8d0acfecbac4ad134b7f397d128497cfcb6"),
+    (_LAMBDA_R2_K3 + ["--budget", "27"], 0,
+     "fedb791df38b9857b967eef9db63e831cedeab48ef5effb0a994362dc1d64edd"),
+    (_LAMBDA_R2_K3 + ["--budget", "30"], 0,
+     "fedb791df38b9857b967eef9db63e831cedeab48ef5effb0a994362dc1d64edd"),
+    (_LAMBDA_R2_K3 + ["--budget", "64"], 0,
+     "fedb791df38b9857b967eef9db63e831cedeab48ef5effb0a994362dc1d64edd"),
     (_LAMBDA_R2_K3 + ["--budget", "65"], 0,
-     "96767720e47f4a57b6cf6e821c45ac60c2b89043e8895a13c1ca408c294da846"),
+     "fedb791df38b9857b967eef9db63e831cedeab48ef5effb0a994362dc1d64edd"),
     (["verify", "lambda", "--r", "3", "--k", "4", "--max-order", "7"], 0,
-     "dd31b5974a388af10bcb10a64280fb6bb60b7aa222f30ce67648556dae413077"),
+     "75861c1c45c0d3d5bf1529c61388b2030890bab51e7c4dc22ea96cbaa936294a"),
     (["verify", "thm2", "--r", "2", "--n", "5..9"], 0,
      "9672ec9464096c15cbea30b9e6174536ec18d13f1b175bc94d6507465ca598d3"),
     (["verify", "thm1", "--r", "3", "--n", "6..8"], 0,
@@ -458,8 +465,9 @@ _LAMBDA_R2_K3 = ["verify", "lambda", "--r", "2", "--k", "3", "--max-order", "6"]
         "lambda-budget-30", "lambda-budget-64", "lambda-budget-65",
         "lambda-r3-k4", "thm2-r2", "thm1-r3"])
 def test_verify_scans_are_pinned(argv, code, digest):
-    # each level scan is written once, with its budget cut and its skip
-    # rule taken per level; these pin where a cut or a skip could go wrong
+    # each level scan is written once, with its budget cut taken per level
+    # and the lambda search's stop at its lower bound; these pin where a
+    # cut or a stop could go wrong
     proc = subprocess.run([sys.executable, "-m", "turanlab.cli", *argv],
                           capture_output=True)
     assert proc.returncode == code
@@ -670,6 +678,39 @@ def test_a_recheck_fires_on_a_wrong_kernel(
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"check failed: {message}\n")
+
+
+def _one_part(g, r):
+    # every vertex in one part, nothing peeled
+    return PeelResult((), (tuple(range(g.n)),))
+
+
+# case id -> a command, its graph6 input, a kernel to replace (or None),
+# the exit code and main's message on stderr
+_HANDLED = {
+    "k4-in-extract-tripartite": (
+        ["extract-tripartite"], "C~\n", None, 2,  # K4
+        "precondition failed: graph contains a K_4 (witness (0, 1, 2, 3))"),
+    "k3-in-saturate": (
+        ["saturate", "--q", "3"], "Bw\n", None, 2,  # K3
+        "precondition failed: graph already contains a K_3 (witness (0, 1, 2))"),
+    "invalid-certificate": (
+        ["extract-tripartite"], "E]~o\n", _one_part, 1,  # K_{2,2,2}
+        "certificate validation failed: part not independent at (0,2) "
+        "(offender (0, 2))"),
+}
+
+
+@pytest.mark.parametrize("argv,graphs,peel,code,message",
+                         _HANDLED.values(), ids=list(_HANDLED))
+def test_main_reports_a_refused_input_or_certificate(
+        monkeypatch, tmp_path, capsys, argv, graphs, peel, code, message):
+    infile = tmp_path / "in.g6"
+    infile.write_text(graphs)
+    if peel is not None:
+        monkeypatch.setattr(tripartite, "_peel", peel)
+    assert main([*argv, "--in", str(infile)]) == code
+    assert capsys.readouterr() == ("", f"{message}\n")
 
 
 # an option whose range the library checks as well, the rest of a command

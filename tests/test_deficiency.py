@@ -167,6 +167,23 @@ def test_budget_builds_no_level_past_the_one_it_runs_out_in(monkeypatch):
     assert len(enumeration._LEVELS[3]) == 9
 
 
+def test_search_stops_at_the_order_that_meets_the_lower_bound(monkeypatch):
+    # C5 meets the lower bound 1 at order 5, where orders 1-5 hold 27
+    # triangle-free graphs; orders 6 to 11 must never be built
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    build = enumeration._next_level
+
+    def next_level(parents, k, q):
+        if k >= 5:
+            raise AssertionError(f"order {k + 1} was built")
+        return build(parents, k, q)
+
+    monkeypatch.setattr(enumeration, "_next_level", next_level)
+    res = deficiency_search(2, 3, 11)
+    assert (res["value"], res["minimal_order"]) == (1, 5)
+    assert res["complete"] and res["examined"] == 27
+
+
 def test_search_rejects_a_negative_budget():
     with pytest.raises(ValueError, match="node budget must be >= 0"):
         deficiency_search(2, 3, 6, node_budget=-1)

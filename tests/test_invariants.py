@@ -19,14 +19,13 @@ from turanlab.graph import (
     cycle_graph,
 )
 from turanlab.invariants import (
-    CliquePresentError,
     Coloring,
     SearchBudgetExceeded,
     _Budget,
     _greedy_clique,
     _k_color,
+    _peel,
     _two_color,
-    aes_peel,
     chromatic_number,
     clique_number,
     find_clique,
@@ -325,13 +324,13 @@ def test_gadget_search_tree_is_pinned():
 
 
 def test_aes_peel_balanced_bipartite():
-    res = aes_peel(complete_multipartite([4, 4]), 2)
+    res = _peel(complete_multipartite([4, 4]), 2)
     assert res.removed == ()
     assert sorted(len(p) for p in res.parts) == [4, 4]
 
 
 def test_aes_peel_c5():
-    res = aes_peel(cycle_graph(5), 2)
+    res = _peel(cycle_graph(5), 2)
     assert len(res.removed) == 1
     rest = [v for v in range(5) if v not in res.removed]
     assert is_r_colorable(cycle_graph(5).induced(rest), 2)[0]
@@ -339,7 +338,7 @@ def test_aes_peel_c5():
 
 def test_aes_peel_groetzsch():
     g = groetzsch_graph()
-    res = aes_peel(g, 2)
+    res = _peel(g, 2)
     # frozen from the first run of the specified procedure (min degree,
     # lowest index on ties); every removal stayed within 2n/5
     assert res.removed == (5, 1, 7, 0, 4, 3)
@@ -360,9 +359,3 @@ def test_aes_peel_groetzsch():
         for i, a in enumerate(p):
             for b in p[i + 1:]:
                 assert not g.has_edge(a, b)
-
-
-def test_aes_peel_rejects_forbidden_clique():
-    with pytest.raises(CliquePresentError) as err:
-        aes_peel(complete_graph(4), 3)
-    assert len(err.value.witness) == 4
