@@ -40,7 +40,6 @@ from .invariants import CliquePresentError, SearchBudgetExceeded, clique_number
 from .saturation import saturate
 from .tripartite import CertificateError, extract_tripartite
 from .verify import (
-    SCHEMA,
     analyze_graph,
     deficiency_table,
     lemma_suite,
@@ -51,6 +50,9 @@ from .verify import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# the version of the JSON report layout, stamped on every report
+SCHEMA = 2
 
 
 def _read_graphs(args: argparse.Namespace) -> list[Graph]:
@@ -71,9 +73,8 @@ def _emit_graphs(args: argparse.Namespace, text: str,
     as the ``graphs`` list of a JSON report."""
     if args.format == "json":
         lines = text.split()  # graph6 has no whitespace
-        _emit_json(args, {"schema": SCHEMA, "command": command,
-                          "count": len(lines), "graphs": lines,
-                          "ok": True}, t0)
+        _emit_json(args, {"command": command, "count": len(lines),
+                          "graphs": lines, "ok": True}, t0)
     else:
         _emit(args, text)
 
@@ -94,8 +95,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit_json(args: argparse.Namespace, payload: dict, t0: float) -> None:
+    payload = dict(payload, schema=SCHEMA)
     if args.timing:
-        payload = dict(payload, runtime_ms=int((time.perf_counter() - t0) * 1000))
+        payload["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -166,9 +168,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     g = _FAMILIES[args.family][0](args)
     if args.format == "json":
-        _emit_json(args, {"schema": SCHEMA, "command": "construct",
-                          "family": args.family, "n": g.n,
-                          "edges": g.edge_count, "graph6": to_graph6(g)}, t0)
+        _emit_json(args, {"command": "construct", "family": args.family,
+                          "n": g.n, "edges": g.edge_count,
+                          "graph6": to_graph6(g)}, t0)
     else:
         _emit(args, to_graph6(g) + "\n")
     return EXIT_OK
@@ -220,8 +222,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     build = _REPORTS[args.command]
     entries = [dict(build(g, args), index=i)
                for i, g in enumerate(_read_graphs(args))]
-    _emit_json(args, {"schema": SCHEMA, "command": args.command,
-                      "graphs": entries, "ok": True}, t0)
+    _emit_json(args, {"command": args.command, "graphs": entries, "ok": True}, t0)
     return EXIT_OK
 
 

@@ -6,18 +6,23 @@ Every fixed-size clique search, weighted or not, is the bitset kernel
 ``deficiency._maximal_cliques`` (Bron-Kerbosch) stay apart because their
 search orders fix the witnesses of ``analyze`` and ``blowup-opt``.
 
-The colourability solver branches on the vertex with the fewest
-remaining colours (saturation order), propagates forced colours, and only
-ever opens one previously unused colour per branch, which is what makes
-refuting colourability on mid-sized graphs feasible.  Its whole state is
-bitmasks over the vertices, renumbered once by (-degree, index): per
-colour the vertices that may still take it, per count the vertices with
-that many colours left, the colour classes and the uncoloured vertices.
-The saturation choice is then the lowest vertex of the first non-empty
-count, and a branch copies the masks instead of undoing a trail.
-Searches accept an optional node budget; exhausting it raises
-``SearchBudgetExceeded``, with the nodes spent, so a resource abort can
-never be mistaken for a mathematical answer.
+The colourability solver, one for every k, branches on the vertex with
+the fewest remaining colours (saturation order), propagates forced
+colours, and only ever opens one previously unused colour per branch,
+which is what makes refuting colourability on mid-sized graphs feasible.
+Its whole state is bitmasks over the vertices, renumbered once by
+(-degree, index): per colour the vertices that may still take it, per
+count the vertices with that many colours left, the colour classes and
+the uncoloured vertices.  The saturation choice is then the lowest
+vertex of the first non-empty count, and a branch copies the masks
+instead of undoing a trail.  A choice with every colour left has no
+coloured neighbour, and neither has any other uncoloured vertex, so the
+rest is whole components: it takes colour 0 alone, and a failure there
+refutes the graph with no backtracking into the components coloured
+before (so k = 2 never branches).
+``chromatic_number`` accepts an optional node budget; exhausting it
+raises ``SearchBudgetExceeded``, with the nodes spent, so a resource
+abort can never be mistaken for a mathematical answer.
 """
 
 from __future__ import annotations
@@ -213,24 +218,6 @@ def _greedy_clique(rows: Sequence[int], n: int) -> list[int]:
     return clique
 
 
-def _two_color(rows: Sequence[int], n: int) -> list[int] | None:
-    color = [-1] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits(rows[v]):
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return None
-    return color
-
-
 class _Budget:
     """Search nodes spent, against an optional limit."""
 
@@ -249,14 +236,10 @@ class _Budget:
 
 def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] | None:
     """A proper colouring with colours 0..k-1, or None if impossible."""
-    # the search would pick other witnesses than these two shortcuts: the
-    # identity colouring and _two_color's per-component 2-colourings
+    # the identity colouring, which the search would not pick; it also
+    # covers n = 0, where _greedy_clique has no vertex to start from
     if k >= n:
         return list(range(n))
-    if k <= 0:
-        return None
-    if k == 2:
-        return _two_color(rows, n)
 
     clique = _greedy_clique(rows, n)
     if len(clique) > k:
@@ -305,7 +288,9 @@ def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] 
                 c += 1
 
     def search(avail: list[int], size: list[int], cls: list[int], uncol: int
-               ) -> list[int] | None:
+               ) -> list[int] | bool | None:
+        """The colour classes, None on a dead end, or False when the
+        graph has no k-colouring at all."""
         if not uncol:
             return cls
         if not budget.spend():
@@ -320,8 +305,10 @@ def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] 
         used = 0
         while used < k and cls[used]:
             used += 1
-        # the used colours and one fresh one, lowest first
-        for c in range(min(used + 1, k)):
+        # the used colours and one fresh one, lowest first; or colour 0
+        # alone when v has all k left (see the module docstring)
+        free = s == k
+        for c in range(1 if free else min(used + 1, k)):
             if avail[c] & low:
                 a, z, cl = avail[:], size[:], cls[:]
                 left = place(a, z, cl, uncol, v, c)
@@ -329,7 +316,7 @@ def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] 
                     found = search(a, z, cl, left)
                     if found is not None:
                         return found
-        return None
+        return False if free else None
 
     everyone = (1 << n) - 1
     avail = [everyone] * k
@@ -345,7 +332,7 @@ def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] 
             if uncol < 0:
                 return None
     found = search(avail, size, cls, uncol)
-    if found is None:
+    if not found:
         return None
     color = [0] * n
     for c, members in enumerate(found):
@@ -381,18 +368,24 @@ def dsatur_coloring(g: Graph) -> Coloring:
     return _normalized_coloring(color)
 
 
-def is_r_colorable(g: Graph, r: int, node_budget: int | None = None
-                   ) -> tuple[bool, Coloring | None]:
+def _search_coloring(g: Graph, k: int, budget: _Budget) -> Coloring | None:
+    """The search's colouring of g with at most k colours, checked, or
+    None if there is none."""
+    raw = _k_color(g.rows, g.n, k, budget)
+    if raw is None:
+        return None
+    col = _normalized_coloring(raw)
+    if not col.is_proper(g) or col.palette > k:
+        raise AssertionError(f"{k}-colouring witness is not a proper {k}-colouring")
+    return col
+
+
+def is_r_colorable(g: Graph, r: int) -> tuple[bool, Coloring | None]:
     """Exact r-colourability with a witness colouring when true."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    raw = _k_color(g.rows, g.n, r, _Budget(node_budget))
-    if raw is None:
-        return False, None
-    col = _normalized_coloring(raw)
-    if not col.is_proper(g):
-        raise AssertionError(f"{r}-colouring witness is not proper")
-    return True, col
+    col = _search_coloring(g, r, _Budget(None))
+    return col is not None, col
 
 
 def chromatic_number(g: Graph, node_budget: int | None = None
@@ -413,15 +406,12 @@ def _chromatic_number(g: Graph, lower: int, node_budget: int | None = None
     refuted = lower - 1
     for k in range(lower, upper):
         try:
-            raw = _k_color(g.rows, g.n, k, budget)
+            col = _search_coloring(g, k, budget)
         except SearchBudgetExceeded:
             raise SearchBudgetExceeded(
                 f"chromatic number undecided: in [{refuted + 1}, {upper}]",
                 lower=refuted + 1, upper=upper, nodes=budget.spent)
-        if raw is not None:
-            col = _normalized_coloring(raw)
-            if not col.is_proper(g) or col.palette > k:
-                raise AssertionError(f"{k}-colouring witness is not a proper {k}-colouring")
+        if col is not None:
             return col.palette, col
         refuted = k
     return upper, greedy

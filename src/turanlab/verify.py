@@ -8,7 +8,7 @@ re-validated with direct predicate checks before they are emitted.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable
 
 from .canon import certificate
@@ -19,6 +19,7 @@ from .constructions import (
     k4free_5chromatic,
     threshold_size,
     trianglefree_5chromatic,
+    turan_class_sizes,
     turan_number,
 )
 from .deficiency import DeficiencyReport, deficiency, deficiency_lower_bound
@@ -33,9 +34,6 @@ from .invariants import (
     is_r_colorable,
 )
 from .symmetrization import zykov, zykov_reduce
-
-
-SCHEMA = 2
 
 
 def _revalidate_extremal(g: Graph, r: int, size: int) -> None:
@@ -85,30 +83,38 @@ def verify_threshold(r: int, n_values: Iterable[int]) -> dict:
             "extremal_count": len(witnesses),
             "witnesses": [to_graph6(w) for w in witnesses],
         })
-    return {"schema": SCHEMA, "check": "threshold", "r": r, "cases": cases, "ok": ok}
+    return {"check": "threshold", "r": r, "cases": cases, "ok": ok}
 
 
 def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
     """Certificate -> the (c5, parts) pairs, in generation order, of every
     blow-up of C5 (class sizes c5, cyclic, least under the cycle's ten
-    symmetries) joined to a complete multipartite graph (r - 2 class sizes
-    parts, non-increasing) with the threshold size, each re-validated."""
+    symmetries) joined to the balanced complete (r - 2)-partite graph on
+    the other vertices (class sizes parts) with the threshold size, each
+    re-validated.  For a fixed c5 every other split of the other vertices
+    into r - 2 classes has fewer edges, so only the balanced one can reach
+    the threshold.  A member above it would be K_{r+1}-free and not
+    r-colourable, refuting the threshold, and raises."""
     size = threshold_size(n, r)
     inventory: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for s in range(5, n - r + 3):  # s cycle vertices, m = n - s others
+    # s cycle vertices, m = n - s others, at least one per class; none for r = 2
+    for s in range(n if r == 2 else 5, n - r + 3):
         m = n - s
-        joins = [(p, s * m + (m * m - sum(x * x for x in p)) // 2)  # edges off the cycle
-                 for p in combinations_with_replacement(range(m, 0, -1), r - 2) if sum(p) == m]
+        parts = tuple(turan_class_sizes(m, r - 2)) if r > 2 else ()
+        joins = s * m + (m * m - sum(x * x for x in parts)) // 2  # edges off the cycle
         for cuts in combinations(range(1, s), 4):
             c5 = tuple(b - a for a, b in zip((0, *cuts), (*cuts, s)))
             turns = [c5[i:] + c5[:i] for i in range(5)]
-            cycle = sum(a * b for a, b in zip(c5, turns[1]))
-            for parts, edges in joins:
-                if cycle + edges == size and c5 == min(turns + [t[::-1] for t in turns]):
-                    blocks = _blocks([*c5, *parts])
-                    g = _c5_blowup(blocks[:5], blocks[5:])
-                    _revalidate_extremal(g, r, size)
-                    inventory.setdefault(certificate(g), []).append((c5, parts))
+            edges = sum(a * b for a, b in zip(c5, turns[1])) + joins
+            if edges < size or c5 != min(turns + [t[::-1] for t in turns]):
+                continue
+            if edges > size:
+                raise AssertionError(f"family member c5 {c5}, parts {parts} has "
+                                     f"{edges} edges, above the threshold {size}")
+            blocks = _blocks([*c5, *parts])
+            g = _c5_blowup(blocks[:5], blocks[5:])
+            _revalidate_extremal(g, r, size)
+            inventory.setdefault(certificate(g), []).append((c5, parts))
     return inventory
 
 
@@ -146,7 +152,7 @@ def classify_extremal(r: int, n: int) -> dict:
 def verify_classification(r: int, n_values: Iterable[int]) -> dict:
     """``classify_extremal`` at each order, in one report."""
     cases = [classify_extremal(r, n) for n in n_values]
-    return {"schema": SCHEMA, "check": "classification", "r": r,
+    return {"check": "classification", "r": r,
             "cases": cases, "ok": all(c["ok"] for c in cases)}
 
 
@@ -247,7 +253,6 @@ def deficiency_table(r: int, k: int, max_order: int | None = None,
     lower = deficiency_lower_bound(r, k)
     gadget = _gadget_claims(r, k)
     result: dict = {
-        "schema": SCHEMA,
         "check": "deficiency",
         "r": r,
         "k": k,
@@ -413,7 +418,6 @@ def lemma_suite() -> dict:
         check_trifree_tripartite_bound(),
     ]
     return {
-        "schema": SCHEMA,
         "check": "lemmas",
         "checks": checks,
         "ok": all(c["ok"] for c in checks),

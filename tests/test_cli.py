@@ -606,6 +606,10 @@ def _star_of_its_size(real):
     return lambda cycle, parts: complete_multipartite([1, real(cycle, parts).edge_count])
 
 
+def _one_less(real):
+    return lambda n, r: real(n, r) - 1
+
+
 def _one_colour(real):
     return lambda rows, n, k, budget: [0] * n
 
@@ -620,7 +624,7 @@ _RECHECKS = {
         deficiency, "_max_degree_sum_clique", _off_by_one_sum,
         ["blowup-opt", "--n", "7"], "Dhc\n"),  # C5
     "_k_color": (
-        "2-colouring witness is not proper",
+        "2-colouring witness is not a proper 2-colouring",
         invariants, "_k_color", _one_colour,
         ["verify", "thm1", "--r", "2", "--n", "5"], None),
     "chromatic_number": (
@@ -646,6 +650,11 @@ _RECHECKS = {
     "_c5_blowup1": (
         "extremal witness is 2-colourable",
         verify, "_c5_blowup", _star_of_its_size,
+        ["verify", "thm2", "--r", "2", "--n", "5"], None),
+    # C5 itself, the one member at (n, r) = (5, 2), is then above it
+    "threshold_size": (
+        "family member c5 (1, 1, 1, 1, 1), parts () has 5 edges, above the threshold 4",
+        verify, "threshold_size", _one_less,
         ["verify", "thm2", "--r", "2", "--n", "5"], None),
     # DSATUR's 3 colours on C5 leave k = 2 to the search, whose witness
     # _chromatic_number checks before analyze_graph does

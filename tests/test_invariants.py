@@ -25,7 +25,6 @@ from turanlab.invariants import (
     _greedy_clique,
     _k_color,
     _peel,
-    _two_color,
     chromatic_number,
     clique_number,
     find_clique,
@@ -147,9 +146,11 @@ def test_r_colorable_equals_counting_oracle():
         for g in enumerate_graphs(n):
             for k in range(n + 1):
                 assert is_r_colorable(g, k)[0] == _colourable_by_counting(g, k), (g.rows, k)
-    # the triangle-free order-9 level at k = 3, where the search branches
+    # the triangle-free order-9 level at k = 3, where the search branches,
+    # and at k = 2, where many graphs are disconnected and bipartite
     for g in enumerate_graphs(9, 3):
         assert is_r_colorable(g, 3)[0] == _colourable_by_counting(g, 3), g.rows
+        assert is_r_colorable(g, 2)[0] == _colourable_by_counting(g, 2), g.rows
 
 
 def test_chi_at_least_omega_small_orders():
@@ -170,6 +171,32 @@ def test_budget_abort_is_distinct():
     assert err.value.lower <= 5 <= err.value.upper
 
 
+def _union(*graphs):
+    """The disjoint union, vertices in the order given."""
+    rows, n = [], 0
+    for g in graphs:
+        rows += [r << n for r in g.rows]
+        n += g.n
+    return Graph.from_rows(rows)
+
+
+def test_a_refuted_component_ends_the_search():
+    # the star centres have the highest degree, so every star is coloured
+    # before the odd cycle or the Groetzsch graph; a search that
+    # backtracked through the stars' colourings after refuting the last
+    # component would spend over a million nodes on either graph
+    c5_stars = _union(cycle_graph(5), *[complete_multipartite([1, 3])] * 20)
+    assert chromatic_number(c5_stars, node_budget=100)[0] == 3
+    assert not is_r_colorable(c5_stars, 2)[0]
+    groetzsch_stars = _union(groetzsch_graph(), *[complete_multipartite([1, 6])] * 20)
+    assert chromatic_number(groetzsch_stars, node_budget=200)[0] == 4
+
+
+class _Refuted(Exception):
+    """A part of the graph that no colours chosen so far constrain has no
+    k-colouring."""
+
+
 def _trail_k_color(rows, n, k, budget):
     """The trail-based colouring search the bitmask one replaced: same
     branching vertex, colour order and fresh-colour rule, one domain mask
@@ -182,8 +209,6 @@ def _trail_k_color(rows, n, k, budget):
         return [0] * n if all(r == 0 for r in rows) else None
     if k >= n:
         return list(range(n))
-    if k == 2:
-        return _two_color(rows, n)
 
     clique = _greedy_clique(rows, n)
     if len(clique) > k:
@@ -243,7 +268,10 @@ def _trail_k_color(rows, n, k, budget):
         used = state["used"]
         fresh = ~used & (used + 1) if used != full else 0
         allowed = dom[v] & (used | fresh)
-        for c in bits(allowed):
+        # a vertex with every colour left has no coloured neighbour, nor
+        # has any other uncoloured one: colour 0 settles the rest
+        free = dom[v] == full
+        for c in bits(1 if free else allowed):
             tmark = len(trail)
             amark = len(assigned_stack)
             umark = state["used"]
@@ -257,12 +285,17 @@ def _trail_k_color(rows, n, k, budget):
                 color[w] = -1
                 state["uncolored"] += 1
             state["used"] = umark
+        if free:
+            raise _Refuted
         return False
 
     for i, v in enumerate(clique):
         if not place(v, i):
             return None
-    if state["uncolored"] and not dfs():
+    try:
+        if state["uncolored"] and not dfs():
+            return None
+    except _Refuted:
         return None
     return color
 
