@@ -11,7 +11,7 @@ from math import comb
 from typing import Sequence
 
 from .graph import MAX_ORDER, Graph, _check_order, bits, complete_multipartite
-from .invariants import find_clique
+from .invariants import _best_clique
 
 
 def _balanced(n: int, r: int) -> tuple[int, int]:
@@ -382,7 +382,6 @@ def sat_twin_free(m: int, r: int) -> Graph:
     # edge, a K_{r-1} among the common neighbours, can arise
     for i in range(r):
         for j in range(i + 1, r):
-            g = Graph.from_rows(rows, check=False)
-            if find_clique(g, r - 1, within=rows[hubs[i]] & rows[hubs[j]]) is None:
+            if _best_clique(rows, rows[hubs[i]] & rows[hubs[j]], r - 1) is None:
                 _join(rows, [hubs[i]], [hubs[j]])
     return Graph.from_rows(rows, check=False)

@@ -191,10 +191,10 @@ def _best_clique(rows: Sequence[int], mask: int, size: int,
     return best
 
 
-def find_clique(g: Graph, size: int, within: int | None = None) -> tuple[int, ...] | None:
-    """The lexicographically first clique of exactly ``size`` vertices
-    inside the mask ``within`` (whole graph if omitted), or None."""
-    return _best_clique(g.rows, (1 << g.n) - 1 if within is None else within, size)
+def find_clique(g: Graph, size: int) -> tuple[int, ...] | None:
+    """The lexicographically first clique of exactly ``size`` vertices, or
+    None."""
+    return _best_clique(g.rows, (1 << g.n) - 1, size)
 
 
 def is_clique_free(g: Graph, q: int) -> bool:

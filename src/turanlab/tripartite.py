@@ -4,17 +4,17 @@ graph, with an independently checkable certificate.
 The pipeline peels low-degree vertices to reach a tripartite remainder,
 classifies the peeled vertices by the size of their smallest neighbourhood
 part, strips the small neighbourhoods, buckets the remaining vertices by
-their attachment to the exceptional core, and keeps the buckets large
-enough to force complete joins.  Asymptotic thresholds from the source
-argument are replaced by the concrete bucket cutoff 2*sqrt((|F|+1)*n);
-correctness of the output never depends on the constants because the
-certificate is re-validated from scratch.
+their attachment to the exceptional core, and keeps buckets that are
+completely joined to one another.  The source argument keeps only buckets
+of an asymptotic size, which forces the joins; here every bucket is tried,
+largest first, and its joins are checked directly.  Correctness of the
+output never depends on the constants because the certificate is
+re-validated from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 from .graph import Graph, bits
 from .invariants import CliquePresentError, _peel
@@ -76,70 +76,37 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
         raise CliquePresentError(
             f"graph is not 4-saturated: non-edge {missing} has no completion",
             missing)
-    n = g.n
     peel = _peel(g, 3)  # is_saturated has found no K4
     exceptional = peel.removed
-    part_of = {}
+    parts = [0, 0, 0]
     for i, p in enumerate(peel.parts):
-        for v in p:
-            part_of[v] = i
+        parts[i] = sum(1 << v for v in p)
 
     small_nbhds = 0   # union of A_v over all peeled v
-    core = 0
+    core = sum(1 << v for v in exceptional)
     for v in exceptional:
-        core |= 1 << v
-    for v in exceptional:
-        by_part: list[list[int]] = [[], [], []]
-        for u in bits(g.rows[v]):
-            if u in part_of:
-                by_part[part_of[u]].append(u)
-        a_v = min(by_part, key=len)
-        for u in a_v:
-            small_nbhds |= 1 << u
-        if len(a_v) < c_param:
-            for u in a_v:
-                core |= 1 << u
+        a_v = min((g.rows[v] & p for p in parts), key=int.bit_count)
+        small_nbhds |= a_v
+        if a_v.bit_count() < c_param:
+            core |= a_v
 
-    # the core meets the parts only in small neighbourhoods, dropped here
-    keep = [[u for u in p if not (small_nbhds >> u) & 1] for p in peel.parts]
-
-    # bucket the survivors by their attachment to the exceptional core;
-    # buckets reaching 2*sqrt((|F|+1)*n) are the ones the argument
-    # guarantees to be pairwise completely joined, so they go first, but
-    # every candidate is admitted only after a direct completeness check
-    # against the current selection (best effort at desk scale, where the
-    # guaranteed threshold can exceed the part sizes)
-    threshold = 2 * isqrt((len(exceptional) + 1) * n)
-    candidates: list[tuple[int, int, int, list[int]]] = []
-    for i, pool in enumerate(keep):
-        buckets: dict[int, list[int]] = {}
-        for u in pool:
-            buckets.setdefault(g.rows[u] & core, []).append(u)
+    # the core meets the parts only in small neighbourhoods, dropped here;
+    # the survivors are bucketed by their attachment to the core
+    candidates: list[tuple[int, int, int, int]] = []
+    for i, part in enumerate(parts):
+        buckets: dict[int, int] = {}
+        for u in bits(part & ~small_nbhds):
+            key = g.rows[u] & core
+            buckets[key] = buckets.get(key, 0) | 1 << u
         for key, bucket in buckets.items():
-            candidates.append((i, key, len(bucket), bucket))
-    candidates.sort(key=lambda t: (t[2] < threshold, -t[2], t[0], t[1]))
-    picked: list[list[int]] = [[], [], []]
-    masks = [0, 0, 0]
-    for i, _key, _size, bucket in candidates:
-        ok = True
-        for j in range(3):
-            if j == i:
-                continue
-            for v in bucket:
-                if masks[j] & ~g.rows[v]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            picked[i].extend(bucket)
-            for v in bucket:
-                masks[i] |= 1 << v
-    for p in picked:
-        p.sort()
+            candidates.append((-bucket.bit_count(), i, key, bucket))
+    candidates.sort()
+    picked = [0, 0, 0]
+    for _size, i, _key, bucket in candidates:
+        others = picked[(i + 1) % 3] | picked[(i + 2) % 3]
+        if all(not others & ~g.rows[v] for v in bits(bucket)):
+            picked[i] |= bucket
     cert = TripartiteCertificate(
-        parts=(tuple(picked[0]), tuple(picked[1]), tuple(picked[2])),
-        order=n)
+        parts=tuple(tuple(bits(p)) for p in picked), order=g.n)
     validate_certificate(g, cert)
     return cert
-

@@ -13,7 +13,6 @@ import pytest
 
 from turanlab.canon import certificate
 from turanlab.constructions import (
-    extremal_family,
     groetzsch_graph,
     k4free_5chromatic,
     sat_non_blowup,
@@ -38,17 +37,20 @@ from turanlab.graph import (
     to_graph6,
     twin_classes,
 )
-from turanlab.invariants import (
-    SearchBudgetExceeded,
-    chromatic_number,
-    clique_number,
-    is_clique_free,
-    is_r_colorable,
-)
+from turanlab.invariants import SearchBudgetExceeded, chromatic_number
 from turanlab.saturation import is_saturated
-from turanlab.symmetrization import zykov, zykov_reduce
 from turanlab.tripartite import extract_tripartite, validate_certificate
-from turanlab.verify import classify_extremal, deficiency_search, deficiency_table
+from turanlab.verify import (
+    check_min_degree_bound,
+    check_small_window_colorable,
+    check_symmetrization_identities,
+    check_trifree_tripartite_bound,
+    check_turan_pointwise,
+    classify_extremal,
+    deficiency_search,
+    deficiency_table,
+    verify_threshold,
+)
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -63,14 +65,12 @@ THRESHOLD_RANGES = {2: range(5, 11), 3: range(6, 9), 4: range(7, 9)}
 def test_criterion_1_threshold_exact():
     checked = []
     for r, ns in THRESHOLD_RANGES.items():
-        for n in ns:
-            predicted = threshold_size(n, r)
-            best = -1
-            for g in enumerate_graphs(n, r + 1):
-                if g.edge_count > best and not is_r_colorable(g, r)[0]:
-                    best = g.edge_count
-            assert best == predicted, (r, n, best, predicted)
-            checked.append((r, n))
+        rep = verify_threshold(r, ns)
+        assert rep["ok"], rep
+        for case in rep["cases"]:
+            assert case["computed_max"] == threshold_size(case["n"], r), (r, case)
+            checked.append((r, case["n"]))
+    assert len(checked) == sum(len(ns) for ns in THRESHOLD_RANGES.values())
     _report("criterion 1", f"threshold exact at {len(checked)} (r, n) pairs")
 
 
@@ -169,63 +169,31 @@ def test_criterion_4_construction_suite():
 
 
 def test_criterion_5a_symmetrization_identities():
-    checked = 0
-    for n in range(2, 8):
-        for g in enumerate_graphs(n):
-            for u in range(n):
-                rest = [x for x in range(n) if x != u]
-                sub = g.induced(rest)
-                w_del = clique_number(sub)[0]
-                chi_del = chromatic_number(sub)[0]
-                for v in range(n):
-                    if u == v:
-                        continue
-                    z = zykov(g, u, v)
-                    assert clique_number(z)[0] == w_del, (g.rows, u, v)
-                    assert chromatic_number(z)[0] == chi_del, (g.rows, u, v)
-                    checked += 1
-    _report("criterion 5a", f"deletion identities on {checked} cases")
+    rep = check_symmetrization_identities()
+    assert rep["ok"] and rep["checked"] == 49_368, rep
+    _report("criterion 5a", f"deletion identities on {rep['checked']} cases")
 
 
 def test_criterion_5b_turan_pointwise():
-    checked = 0
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            w = clique_number(g)[0]
-            reduced, _ = zykov_reduce(g)
-            assert g.edge_count <= reduced.edge_count
-            assert reduced.edge_count <= turan_number(n, max(w, 1))
-            checked += 1
-    _report("criterion 5b", f"size bound reproved pointwise on {checked} graphs")
+    rep = check_turan_pointwise()
+    assert rep["ok"] and rep["checked"] == 1_252, rep
+    _report("criterion 5b", f"size bound reproved pointwise on {rep['checked']} graphs")
 
 
 def test_criterion_5c_degree_bound():
-    checked = 0
-    for level in levels_up_to(9, forbidden_clique=3):
-        for g in level:
-            if g.n < 3 or is_r_colorable(g, 2)[0]:
-                continue
-            assert min(g.degrees()) * 5 <= 2 * g.n, g.rows
-            checked += 1
-    _report("criterion 5c", f"min-degree bound on {checked} non-bipartite graphs")
+    rep = check_min_degree_bound()
+    assert rep["ok"] and rep["checked"] == 908, rep
+    _report("criterion 5c", f"min-degree bound on {rep['checked']} non-bipartite graphs")
 
 
 def test_criterion_5d_tripartite_bound_m2():
-    from turanlab.graph import bits
-
-    pairs = [(i, j) for i in range(2) for j in range(2)]
-    best = -1
-    for ab in range(16):
-        for ac in range(16):
-            for bc in range(16):
-                edges = [(pairs[t][0], 2 + pairs[t][1]) for t in bits(ab)]
-                edges += [(pairs[t][0], 4 + pairs[t][1]) for t in bits(ac)]
-                edges += [(2 + pairs[t][0], 4 + pairs[t][1]) for t in bits(bc)]
-                g = Graph(6, edges)
-                if is_clique_free(g, 3):
-                    best = max(best, g.edge_count)
-    assert best <= turan_number(6, 3) - 1
-    _report("criterion 5d", f"exhaustive tripartite bound, max size {best}")
+    # every triangle-free tripartite graph with parts (2, 2, 2) misses at
+    # least one edge off the balanced count; the exhaustive maximum is two
+    # complete cross-pairs
+    rep = check_trifree_tripartite_bound()
+    assert rep["ok"] and rep["labeled_graphs"] == 4_096, rep
+    assert rep["max_size"] == 8 and rep["bound"] == turan_number(6, 3) - 1 == 11
+    _report("criterion 5d", f"exhaustive tripartite bound, max size {rep['max_size']}")
 
 
 def test_criterion_5e_certificates_revalidate():
@@ -242,15 +210,9 @@ def test_criterion_5e_certificates_revalidate():
 
 
 def test_criterion_5f_small_window_colorable():
-    checked = 0
-    for level in levels_up_to(9, forbidden_clique=3):
-        for g in level:
-            n = g.n
-            if not any(n - g.degree(u) - g.degree(v) <= 2 for u, v in g.edges()):
-                continue
-            assert is_r_colorable(g, 3)[0], g.rows
-            checked += 1
-    _report("criterion 5f", f"window implies 3-colourable on {checked} graphs")
+    rep = check_small_window_colorable()
+    assert rep["ok"] and rep["checked"] == 1_729, rep
+    _report("criterion 5f", f"window implies 3-colourable on {rep['checked']} graphs")
 
 
 # -- criterion 6: blow-up optimiser oracle equivalence -------------------------

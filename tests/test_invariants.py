@@ -22,6 +22,7 @@ from turanlab.invariants import (
     Coloring,
     SearchBudgetExceeded,
     _Budget,
+    _best_clique,
     _greedy_clique,
     _k_color,
     _peel,
@@ -67,7 +68,9 @@ def test_find_clique_is_first_clique_in_lexicographic_order():
                 for s in range(5):
                     first = next((c for c in combinations(bits(within), s)
                                   if _is_clique(g, c)), None)
-                    assert find_clique(g, s, within) == first, (g.rows, within, s)
+                    assert _best_clique(g.rows, within, s) == first, (g.rows, within, s)
+                    if within == (1 << n) - 1:
+                        assert find_clique(g, s) == first, (g.rows, s)
 
 
 def test_deficiency_clique_is_first_degree_sum_maximiser():

@@ -1,8 +1,8 @@
 import pytest
 
-from turanlab.constructions import sat_non_blowup, sat_twin_free, turan_number
-from turanlab.graph import Graph, bits, complete_graph, complete_multipartite, from_graph6
-from turanlab.invariants import CliquePresentError, is_clique_free
+from turanlab.constructions import sat_non_blowup, sat_twin_free
+from turanlab.graph import Graph, complete_graph, complete_multipartite, from_graph6
+from turanlab.invariants import CliquePresentError
 from turanlab.tripartite import (
     CertificateError,
     TripartiteCertificate,
@@ -37,22 +37,28 @@ def test_gadget_graph_extraction():
     validate_certificate(g, cert)
 
 
-@pytest.mark.parametrize("build,covered", [
-    (lambda: sat_twin_free(4, 3), {1: 18, 2: 18, 3: 18, 10: 16}),
-    (lambda: sat_twin_free(8, 3), {1: 210, 2: 210, 3: 210, 10: 148}),
+@pytest.mark.parametrize("build,covered,parts", [
+    (lambda: sat_twin_free(4, 3), {1: 18, 2: 18, 3: 18, 4: 18, 10: 16},
+     {4: (range(0, 6), range(14, 20), range(28, 34))}),
+    (lambda: sat_twin_free(8, 3), {1: 210, 2: 210, 3: 210, 8: 210, 10: 148},
+     {8: (range(0, 70), range(86, 156), range(172, 242))}),
     # 4-saturated, from a seeded random greedy saturation: at c_param = 1
     # every A_v stays out of the core, and the certificate still covers 10
-    (lambda: from_graph6("K^zMmjcN~Gx^"), {1: 10, 2: 10, 3: 10, 10: 10}),
+    (lambda: from_graph6("K^zMmjcN~Gx^"), {1: 10, 2: 10, 3: 10, 10: 10}, {}),
 ], ids=["sat-twin-free-4", "sat-twin-free-8", "saturated-12"])
-def test_large_neighbourhood_branch(build, covered):
+def test_large_neighbourhood_branch(build, covered, parts):
     # a peeled vertex with |A_v| >= c_param keeps A_v out of the core (A_v
     # still leaves the parts); the largest |A_v| is 8 on sat_twin_free(8, 3),
-    # so the default cutoff of 10 never takes that branch there
+    # so the default cutoff of 10 never takes that branch there.  The parts
+    # are pinned where c_param equals some |A_v| (4 and 8 on the twin-free
+    # graphs), so the comparison's boundary is fixed
     g = build()
     for c_param, count in covered.items():
         cert = extract_tripartite(g, c_param=c_param)
         validate_certificate(g, cert)
         assert cert.covered == count, c_param
+        if c_param in parts:
+            assert cert.parts == tuple(map(tuple, parts[c_param])), c_param
 
 
 def test_rejects_non_saturated():
@@ -89,23 +95,3 @@ def test_validate_catches_bad_certificates():
         validate_certificate(
             dent, TripartiteCertificate(((0, 1), (2, 3), (4, 5)), 6))
     assert err.value.offender == (0, 2)
-
-
-def test_triangle_free_tripartite_size_bound_m2():
-    # every triangle-free tripartite graph with parts (2,2,2) misses at
-    # least one edge off the balanced count: exhaustive over 2^12 block
-    # bitmasks
-    pairs = [(i, j) for i in range(2) for j in range(2)]
-    best = -1
-    for ab in range(16):
-        for ac in range(16):
-            for bc in range(16):
-                edges = [(pairs[t][0], 2 + pairs[t][1]) for t in bits(ab)]
-                edges += [(pairs[t][0], 4 + pairs[t][1]) for t in bits(ac)]
-                edges += [(2 + pairs[t][0], 4 + pairs[t][1]) for t in bits(bc)]
-                g = Graph(6, edges)
-                if is_clique_free(g, 3):
-                    best = max(best, g.edge_count)
-    assert best <= turan_number(6, 3) - 1 == 11
-    assert best == 8  # exhaustive maximum: two complete cross-pairs
-
