@@ -13,12 +13,11 @@ integers, and timing is only included when --timing is passed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import constructions as cons
 from .deficiency import (
@@ -67,26 +66,27 @@ def _read_graphs(args: argparse.Namespace) -> list[Graph]:
     return graphs
 
 
-def _emit_graphs(args: argparse.Namespace, text: str,
+def _emit_graphs(args: argparse.Namespace, chunks: Iterable[str],
                  command: str, t0: float) -> None:
-    """Emit ``text``, graph6 lines each ending in a newline, as it is or
-    as the ``graphs`` list of a JSON report."""
+    """Emit the text of ``chunks``, graph6 lines each ending in a newline,
+    as it is or as the ``graphs`` list of a JSON report."""
     if args.format == "json":
-        lines = text.split()  # graph6 has no whitespace
+        lines = "".join(chunks).split()  # graph6 has no whitespace
         _emit_json(args, {"command": command, "count": len(lines),
                           "graphs": lines, "ok": True}, t0)
     else:
-        _emit(args, text)
+        _emit(args, chunks)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    """Write the strs of ``chunks`` in turn to --out or stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
         try:
             # flush here, so a failed write raises inside main's handler
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError:
             # what is still buffered would fail again at exit; send it nowhere
@@ -95,10 +95,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _emit_json(args: argparse.Namespace, payload: dict, t0: float) -> None:
+    import json  # only JSON reports need it; the graph6 paths start faster
+
     payload = dict(payload, schema=SCHEMA)
     if args.timing:
         payload["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def _int_at_least(least: int) -> Callable[[str], int]:
@@ -172,22 +174,22 @@ def cmd_construct(args: argparse.Namespace) -> int:
                           "n": g.n, "edges": g.edge_count,
                           "graph6": to_graph6(g)}, t0)
     else:
-        _emit(args, to_graph6(g) + "\n")
+        _emit(args, [to_graph6(g) + "\n"])
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     q = _filter_q(args)
     t0 = time.perf_counter()
-    _emit_graphs(args, enumerate_graphs(args.n, q).graph6(), "enumerate", t0)
+    _emit_graphs(args, enumerate_graphs(args.n, q).graph6_chunks(), "enumerate", t0)
     return EXIT_OK
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     graphs = _read_graphs(args)
-    text = "".join(to_graph6(saturate(g, args.q)) + "\n" for g in graphs)
-    _emit_graphs(args, text, "saturate", t0)
+    lines = [to_graph6(saturate(g, args.q)) + "\n" for g in graphs]
+    _emit_graphs(args, lines, "saturate", t0)
     return EXIT_OK
 
 

@@ -14,16 +14,14 @@ graphs is ``verify.deficiency_search``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import Graph, _relabel_rows, bits
 from .invariants import CliquePresentError, _best_clique, clique_number, find_clique
 from .constructions import turan_number
 
 
-@dataclass(frozen=True)
-class DeficiencyReport:
+class DeficiencyReport(NamedTuple):
     r: int
     value: int
     clique: tuple[int, ...]

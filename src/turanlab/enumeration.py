@@ -37,7 +37,7 @@ from collections.abc import Sequence
 from typing import BinaryIO, Iterator
 
 from .canon import canonical_certificate_rows, canonical_labelling
-from .graph import Graph, _graph6_text, _key_rows, _upper_key, bits
+from .graph import Graph, _graph6_chunks, _key_rows, _upper_key, bits
 from .invariants import _best_clique
 
 
@@ -95,7 +95,12 @@ class Level(Sequence):
     def graph6(self) -> str:
         """The graph6 lines of the level, each ending in a newline, written
         from the keys with no ``Graph`` built."""
-        return _graph6_text(self._keys, self.n)
+        return "".join(self.graph6_chunks())
+
+    def graph6_chunks(self) -> Iterator[str]:
+        """``graph6()`` in consecutive pieces of a bounded number of lines,
+        for writing a level without holding its whole text."""
+        return _graph6_chunks(self._keys, self.n)
 
 
 def _class_count_estimate(n: int) -> str:

@@ -270,13 +270,19 @@ def to_graph6(g: Graph) -> str:
         [_SIX_CHAR[payload[t:t + 6]] for t in range(0, len(payload), 6)])
 
 
-def _graph6_text(keys: Iterable[int], n: int) -> str:
+# lines per str that ``_graph6_chunks`` yields, so that a level is written
+# a chunk at a time and its whole graph6 text is never built
+_GRAPH6_CHUNK = 1 << 14
+
+
+def _graph6_chunks(keys: Sequence[int], n: int) -> Iterator[str]:
     """The graph6 lines of the graphs of order ``n`` with these keys (see
-    ``_upper_key``), each ending in a newline; each line equals
-    ``to_graph6`` of the graph.  A line is built as one integer (header,
-    payload bytes, newline, most significant first): per 8-bit slice of
-    the key, a table gives the slice's bits at their graph6 places, and
-    adding the 63 of every payload byte never carries."""
+    ``_upper_key``), each ending in a newline, as strs of ``_GRAPH6_CHUNK``
+    lines (the last one shorter); each line equals ``to_graph6`` of the
+    graph.  A line is built as one integer (header, payload bytes,
+    newline, most significant first): per 8-bit slice of the key, a table
+    gives the slice's bits at their graph6 places, and adding the 63 of
+    every payload byte never carries."""
     nbits = n * (n - 1) // 2
     m = (nbits + 5) // 6
     head = _graph6_head(n).encode()
@@ -289,14 +295,16 @@ def _graph6_text(keys: Iterable[int], n: int) -> str:
         t = j * (j - 1) // 2 + i
         place.append(1 << (8 * (m - t // 6) + 5 - t % 6))
     tables = _slice_tables(place)
-    out = bytearray()
-    for key in keys:
-        line = base
-        for table in tables:
-            line += table[key & 255]
-            key >>= 8
-        out += line.to_bytes(size, "big")
-    return out.decode("ascii")
+    step = _GRAPH6_CHUNK
+    for start in range(0, len(keys), step):
+        out = bytearray()
+        for key in keys[start:start + step]:
+            line = base
+            for table in tables:
+                line += table[key & 255]
+                key >>= 8
+            out += line.to_bytes(size, "big")
+        yield out.decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:

@@ -27,8 +27,7 @@ abort can never be mistaken for a mathematical answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, _relabel_rows, bits
 
@@ -53,8 +52,7 @@ class CliquePresentError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Proper colouring witness: colour per vertex, palette = max+1."""
 
     colors: tuple[int, ...]
@@ -79,8 +77,7 @@ def _normalized_coloring(raw: Sequence[int]) -> Coloring:
     return Coloring(tuple(out), len(remap))
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(NamedTuple):
     """Vertices removed (in order) until the rest became r-partite, plus
     the parts of the remainder."""
 

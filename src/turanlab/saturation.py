@@ -7,20 +7,23 @@ q-2 common neighbours forming a clique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph
 from .invariants import CliquePresentError, _best_clique, find_clique
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     q: int
     clique_free: bool
     obstruction: tuple[int, ...] | None
     saturated: bool
-    completions: dict[tuple[int, int], tuple[int, ...] | None] = field(repr=False)
+    completions: dict[tuple[int, int], tuple[int, ...] | None]
+
+    def __repr__(self) -> str:
+        # completions, one witness per non-edge, are too many to print
+        return (f"SaturationReport(q={self.q!r}, clique_free={self.clique_free!r}, "
+                f"obstruction={self.obstruction!r}, saturated={self.saturated!r})")
 
     def missing(self) -> list[tuple[int, int]]:
         """Non-edges without a completion witness."""

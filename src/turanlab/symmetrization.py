@@ -8,13 +8,12 @@ by more than one: both equal the value of the graph with u deleted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, twin_classes
 
 
-@dataclass(frozen=True)
-class SymmetrizationTrace:
+class SymmetrizationTrace(NamedTuple):
     steps: tuple[tuple[int, int], ...]   # the zykov moves (u, v), in order
 
 

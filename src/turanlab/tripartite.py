@@ -14,15 +14,14 @@ re-validated from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits
 from .invariants import CliquePresentError, _peel
 from .saturation import is_saturated
 
 
-@dataclass(frozen=True)
-class TripartiteCertificate:
+class TripartiteCertificate(NamedTuple):
     """Three disjoint independent sets, pairwise completely joined."""
 
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]

@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from turanlab import cli, invariants, tripartite, verify
+from turanlab import cli, graph, invariants, tripartite, verify
 from turanlab.cli import main
+from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import Graph, complete_graph, complete_multipartite, from_graph6
 from turanlab.invariants import PeelResult
 
@@ -772,6 +773,33 @@ def test_out_file(tmp_path):
     target = tmp_path / "graphs.g6"
     assert main(["enumerate", "--n", "4", "--out", str(target)]) == 0
     assert len(target.read_text().strip().splitlines()) == 11
+
+
+def test_enumerate_writes_a_level_in_chunks(monkeypatch, capsys, tmp_path):
+    level = enumerate_graphs(7)  # 1,044 graphs
+    whole = level.graph6()
+    monkeypatch.setattr(graph, "_GRAPH6_CHUNK", 100)
+    assert len(list(level.graph6_chunks())) == 11
+    assert main(["enumerate", "--n", "7"]) == 0
+    assert capsys.readouterr().out == whole
+    target = tmp_path / "level.g6"
+    assert main(["enumerate", "--n", "7", "--out", str(target)]) == 0
+    assert target.read_bytes() == whole.encode()
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_ast_or_json():
+    # every turanlab process pays for its imports at start-up; these four
+    # took about two thirds of importing turanlab and its CLI, and no
+    # graph6 path needs them.  Modules the interpreter loaded before (site
+    # .pth files may import some) are not counted.
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import turanlab, turanlab.cli\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'json'}\n"
+              "             & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # command, option, least valid value, the report field that value keeps,

@@ -54,6 +54,10 @@ def test_deficiency_report_consistency():
     assert len(rep.clique) == 2 and g.has_edge(*rep.clique)
     assert sum(rep.deficiencies) == rep.value
     assert all(d >= 0 for d in rep.deficiencies)
+    assert (rep.value, rep.clique) == (3, (5, 10))
+    for name in rep._fields:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
     # the realizing pair attains degree sum 8; the adjacent degree-4
     # pairs are among the maximizers
     assert sum(g.degree(v) for v in rep.clique) == 8

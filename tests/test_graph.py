@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from turanlab import graph
 from turanlab.constructions import sat_twin_free
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
     GraphFormatError,
-    _graph6_text,
+    _graph6_chunks,
     _key_rows,
     _upper_key,
     complete_graph,
@@ -177,14 +178,18 @@ def test_key_order_is_row_order():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 9, 12, 16, 63])
-def test_graph6_from_keys_equals_to_graph6(n):
+def test_graph6_from_keys_equals_to_graph6(monkeypatch, n):
     # C(4, 2) = 6 fills one payload byte, C(9, 2) = 36 six; order 63 has
     # the long header
     graphs = [Graph(n), complete_graph(n), *_random_graphs(50, [n], n)]
     if n <= 5:
         graphs += [Graph.from_rows(rows) for rows in _all_labelled_rows(n)]
     keys = [_upper_key(g.rows) for g in graphs]
-    assert _graph6_text(keys, n) == "".join(to_graph6(g) + "\n" for g in graphs)
+    monkeypatch.setattr(graph, "_GRAPH6_CHUNK", 7)
+    chunks = list(_graph6_chunks(keys, n))
+    assert "".join(chunks) == "".join(to_graph6(g) + "\n" for g in graphs)
+    assert [c.count("\n") for c in chunks] == \
+        [7] * (len(graphs) // 7) + [len(graphs) % 7] * (len(graphs) % 7 > 0)
 
 
 def test_graph6_from_keys_equals_to_graph6_on_every_small_graph():

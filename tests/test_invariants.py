@@ -100,6 +100,9 @@ def test_chromatic_witness_proper():
         chi, col = chromatic_number(g)
         assert col.is_proper(g)
         assert col.palette == chi == max(col.colors) + 1
+        for name in col._fields:
+            with pytest.raises(AttributeError):
+                setattr(col, name, None)
 
 
 def test_is_proper_matches_the_edge_rule():
@@ -368,6 +371,10 @@ def test_aes_peel_balanced_bipartite():
 def test_aes_peel_c5():
     res = _peel(cycle_graph(5), 2)
     assert len(res.removed) == 1
+    assert (res.removed, res.parts) == ((0,), ((1, 3), (2, 4)))
+    for name in res._fields:
+        with pytest.raises(AttributeError):
+            setattr(res, name, None)
     rest = [v for v in range(5) if v not in res.removed]
     assert is_r_colorable(cycle_graph(5).induced(rest), 2)[0]
 

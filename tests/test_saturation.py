@@ -27,7 +27,14 @@ def test_report_examples():
     rep = is_saturated(Graph(4, [(0, 1), (1, 2), (2, 3)]), 3)  # P4
     assert not rep.saturated
     assert rep.completions[(0, 3)] is None
-    assert (0, 3) in rep.missing()
+    assert rep.missing() == [(0, 3)]
+    # one completion per non-edge is too long for the repr, which leaves
+    # them out
+    assert repr(rep) == ("SaturationReport(q=3, clique_free=True, "
+                         "obstruction=None, saturated=False)")
+    for name in rep._fields:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
 
 
 def test_report_witnesses_induce_near_clique():

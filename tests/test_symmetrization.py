@@ -84,6 +84,10 @@ def test_zykov_reduce_c5():
     blocks = twin_classes(out)
     assert len(blocks) <= 2
     assert _apply(cycle_graph(5), trace.steps) == out
+    assert trace.steps == ((2, 0), (3, 0))
+    for name in trace._fields:
+        with pytest.raises(AttributeError):
+            setattr(trace, name, None)
 
 
 def test_zykov_reduce_postconditions_exhaustive():

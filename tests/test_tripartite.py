@@ -14,6 +14,9 @@ from turanlab.tripartite import (
 def test_full_cover_on_balanced_multipartite():
     cert = extract_tripartite(complete_multipartite([4, 4, 4]))
     assert cert.covered == cert.order == 12
+    for name in cert._fields:
+        with pytest.raises(AttributeError):
+            setattr(cert, name, None)
     assert sorted(len(p) for p in cert.parts) == [4, 4, 4]
     # with no exceptional vertex each colour class is one bucket, and it
     # lands in its own slot, empty slots included
