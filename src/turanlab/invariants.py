@@ -77,14 +77,6 @@ def _normalized_coloring(raw: Sequence[int]) -> Coloring:
     return Coloring(tuple(out), len(remap))
 
 
-class PeelResult(NamedTuple):
-    """Vertices removed (in order) until the rest became r-partite, plus
-    the parts of the remainder."""
-
-    removed: tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...]
-
-
 # -- cliques ----------------------------------------------------------------
 
 
@@ -417,10 +409,11 @@ def _chromatic_number(g: Graph, lower: int, node_budget: int | None = None
 # -- AES peeling -------------------------------------------------------------
 
 
-def _peel(g: Graph, r: int) -> PeelResult:
+def _peel(g: Graph, r: int) -> tuple[list[int], list[int]]:
     """While the graph is not r-colourable, remove a minimum-degree vertex
-    (lowest index on ties); return the removals and an r-partition of the
-    remainder.
+    (lowest index on ties); return the removals, in order, and the r
+    colour classes of the remainder as vertex masks (an unused colour is
+    0).
 
     Requires a K_{r+1}-free input, which the caller has checked.  Each
     removed vertex is checked against the degree bound
@@ -428,23 +421,20 @@ def _peel(g: Graph, r: int) -> PeelResult:
     minimum degree; a violation would mean a bug.
     """
     alive = list(range(g.n))
-    cur = g
     removed: list[int] = []
     while True:
+        cur = g.induced(alive)
         _, col = is_r_colorable(cur, r)
         if col is not None:
-            parts: list[list[int]] = [[] for _ in range(col.palette)]
-            for i, c in enumerate(col.colors):
-                parts[c].append(alive[i])
-            return PeelResult(tuple(removed),
-                              tuple(tuple(p) for p in parts if p))
+            parts = [0] * r
+            for v, c in zip(alive, col.colors):
+                parts[c] |= 1 << v
+            return removed, parts
         degs = cur.degrees()
-        v = min(range(cur.n), key=lambda u: (degs[u], alive[u]))
-        if degs[v] * (3 * r - 1) > (3 * r - 4) * cur.n:
+        # alive is increasing, so the first minimum is the lowest index
+        i = degs.index(min(degs))
+        if degs[i] * (3 * r - 1) > (3 * r - 4) * cur.n:
             raise AssertionError(
                 "minimum degree exceeds the guaranteed bound; "
                 "this indicates a solver bug")
-        removed.append(alive[v])
-        keep = [u for u in range(cur.n) if u != v]
-        cur = cur.induced(keep)
-        alive = [alive[u] for u in keep]
+        removed.append(alive.pop(i))

@@ -17,20 +17,30 @@ class SymmetrizationTrace(NamedTuple):
     steps: tuple[tuple[int, int], ...]   # the zykov moves (u, v), in order
 
 
+def _move(rows: list[int], movers: int, t: int) -> None:
+    """Make every vertex of the mask ``movers``, a set of twins, a twin of
+    ``t`` in place: each takes t's neighbourhood outside ``movers``.  The
+    movers share one row, so each touched neighbour row is one update."""
+    old = rows[(movers & -movers).bit_length() - 1]
+    new = rows[t] & ~movers
+    for w in bits(old & ~new):
+        rows[w] &= ~movers
+    for w in bits(new & ~old):
+        rows[w] |= movers
+    for x in bits(movers):
+        rows[x] = new
+
+
 def zykov(g: Graph, u: int, v: int) -> Graph:
     """Replace u by a twin of v.  If u and v are adjacent the edge uv is
     removed as part of the operation."""
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} out of range for order {g.n}")
     if u == v:
         raise ValueError("cannot symmetrize a vertex with itself")
     rows = list(g.rows)
-    ubit = 1 << u
-    # detach u
-    for w in bits(rows[u]):
-        rows[w] &= ~ubit
-    target = rows[v] & ~ubit
-    rows[u] = target
-    for w in bits(target):
-        rows[w] |= ubit
+    _move(rows, 1 << u, v)
     return Graph.from_rows(rows, check=False)
 
 
@@ -41,35 +51,24 @@ def zykov_reduce(g: Graph) -> tuple[Graph, SymmetrizationTrace]:
 
     Deterministic: among mergeable class pairs the one with the smallest
     representatives is chosen; merges go from the smaller-degree class
-    into the larger, lower representative winning ties.  The trace lists
-    every ``zykov(cur, u, v)`` move as ``(u, v)``, in the order applied.
+    into the larger, lower representative winning ties.  A class moves
+    in one step, but the trace lists every ``zykov(cur, u, v)`` move it
+    stands for as ``(u, v)``, in the order applied.
     """
-    cur = g
+    rows = list(g.rows)
     steps: list[tuple[int, int]] = []
     while True:
+        cur = Graph.from_rows(rows, check=False)
         blocks = twin_classes(cur)
-        pair = None
-        for i in range(len(blocks)):
-            a = blocks[i][0]
-            for j in range(i + 1, len(blocks)):
-                b = blocks[j][0]
-                if not cur.has_edge(a, b):
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((a, b) for i, a in enumerate(blocks)
+                     for b in blocks[i + 1:] if not cur.has_edge(a[0], b[0])),
+                    None)
         if pair is None:
             return cur, SymmetrizationTrace(tuple(steps))
-        i, j = pair
-        da = cur.degree(blocks[i][0])
-        db = cur.degree(blocks[j][0])
+        a, b = pair
         # move the smaller-degree class onto the other; ties keep the
         # lower-representative class (blocks are sorted by representative)
-        if da < db:
-            mover, target = i, j
-        else:
-            mover, target = j, i
-        tv = blocks[target][0]
-        for x in blocks[mover]:
-            cur = zykov(cur, x, tv)
-            steps.append((x, tv))
+        mover, target = (a, b) if cur.degree(a[0]) < cur.degree(b[0]) else (b, a)
+        tv = target[0]
+        _move(rows, sum(1 << x for x in mover), tv)
+        steps.extend((x, tv) for x in mover)

@@ -75,12 +75,7 @@ def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
         raise CliquePresentError(
             f"graph is not 4-saturated: non-edge {missing} has no completion",
             missing)
-    peel = _peel(g, 3)  # is_saturated has found no K4
-    exceptional = peel.removed
-    parts = [0, 0, 0]
-    for i, p in enumerate(peel.parts):
-        parts[i] = sum(1 << v for v in p)
-
+    exceptional, parts = _peel(g, 3)  # is_saturated has found no K4
     small_nbhds = 0   # union of A_v over all peeled v
     core = sum(1 << v for v in exceptional)
     for v in exceptional:

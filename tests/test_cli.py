@@ -13,7 +13,6 @@ from turanlab import cli, graph, invariants, tripartite, verify
 from turanlab.cli import main
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import Graph, complete_graph, complete_multipartite, from_graph6
-from turanlab.invariants import PeelResult
 
 
 def run_cli(args, stdin_text=""):
@@ -204,22 +203,37 @@ def test_exit_code_on_usage_error():
     assert code == 2
 
 
-@pytest.mark.parametrize("text,bad", [
-    ("\x1f\n", "\\x1f"),
-    ("A_\x1c\n", "\\x1c"),
-    ("A_\n\x1f\nA_\x1c\n", "\\x1f"),
-    ("A_\t\n", "\\t"),
-], ids=["x1f-line", "x1c-after-k2", "stream", "tab"])
+_OUTSIDE = "character '{}' outside graph6 range 63..126"
+
+# case id -> bad graph6 input and the decoder's message; every command
+# that reads graphs refuses each one, and only line ends and spaces
+# surround a graph6 line, so a control character is a bad character,
+# never a blank line or a blank end of K2's line
+_BAD_GRAPH6 = {
+    "x1f-line": ("\x1f\n", _OUTSIDE.format("\\x1f")),
+    "x1c-after-k2": ("A_\x1c\n", _OUTSIDE.format("\\x1c")),
+    "stream": ("A_\n\x1f\nA_\x1c\n", _OUTSIDE.format("\\x1f")),
+    "tab": ("A_\t\n", _OUTSIDE.format("\\t")),
+    "x7f": ("A\x7f\n", _OUTSIDE.format("\\x7f")),
+    "truncated": ("C\n", "bit payload too short: need 1 bytes, got 0"),
+    "trailing-byte": ("A_?\n", "trailing bytes after graph6 payload (1 extra)"),
+    "order-4097": ("~@?@\n", "order must be in 0..4096, got 4097"),
+    "good-then-truncated": ("A_\nC\n",
+                            "bit payload too short: need 1 bytes, got 0"),
+}
+
+
+@pytest.mark.parametrize("text,message", _BAD_GRAPH6.values(),
+                         ids=list(_BAD_GRAPH6))
 def test_control_character_in_graph6_input_is_usage_error(
-        tmp_path, capsys, text, bad):
-    # only line ends and spaces surround a graph6 line: a control character
-    # is a bad character, never a blank line or a blank end of K2's line
+        tmp_path, capsys, text, message):
     infile = tmp_path / "in.g6"
-    infile.write_text(text)
-    assert main(["analyze", "--in", str(infile)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: character '{bad}' outside graph6 range 63..126\n"
+    for argv in (["analyze"], ["saturate", "--q", "3"],
+                 ["blowup-opt", "--n", "10"], ["extract-tripartite"]):
+        infile.write_text(text)
+        assert main([*argv, "--in", str(infile)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # a header, spaces and line ends around K2 are valid graph6
     infile.write_text(" >>graph6<<A_ \r\n\n")
     assert main(["analyze", "--in", str(infile)]) == 0
     assert json.loads(capsys.readouterr().out)["graphs"][0]["n"] == 2
@@ -692,7 +706,7 @@ def test_a_recheck_fires_on_a_wrong_kernel(
 
 def _one_part(g, r):
     # every vertex in one part, nothing peeled
-    return PeelResult((), (tuple(range(g.n)),))
+    return [], [(1 << g.n) - 1, 0, 0]
 
 
 # case id -> a command, its graph6 input, a kernel to replace (or None),

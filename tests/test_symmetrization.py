@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from turanlab.enumeration import enumerate_graphs
@@ -34,6 +36,13 @@ def test_zykov_c5():
 def test_zykov_rejects_same_vertex():
     with pytest.raises(ValueError):
         zykov(cycle_graph(5), 1, 1)
+
+
+@pytest.mark.parametrize("u,v,bad", [(0, -1, -1), (0, 5, 5), (5, 0, 5)])
+def test_zykov_rejects_a_vertex_out_of_range(u, v, bad):
+    # a negative vertex must not index the rows from the end
+    with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for order 5$"):
+        zykov(cycle_graph(5), u, v)
 
 
 def test_deletion_identities_exhaustive_small():
@@ -91,7 +100,7 @@ def test_zykov_reduce_c5():
 
 
 def test_zykov_reduce_postconditions_exhaustive():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             out, trace = zykov_reduce(g)
             assert out.edge_count >= g.edge_count
@@ -102,3 +111,14 @@ def test_zykov_reduce_postconditions_exhaustive():
                 for j in range(i + 1, len(blocks)):
                     assert out.has_edge(blocks[i][0], blocks[j][0])
             assert _apply(g, trace.steps) == out
+
+
+def test_zykov_reduce_order_7_pin():
+    # the result and the whole trace of every order-7 graph, as first
+    # computed one zykov move at a time
+    h = hashlib.sha256()
+    for g in enumerate_graphs(7):
+        out, trace = zykov_reduce(g)
+        h.update(f"{list(out.rows)} {list(trace.steps)}\n".encode())
+    assert h.hexdigest() == (
+        "a27686372bab8794c4cdb23bf87249456220965d645f82555a1191655dc8e87b")
