@@ -16,10 +16,11 @@ tries one attachment set per orbit of those permutations.  Each level
 contains exactly one canonical representative per isomorphism class,
 sorted canonically.
 
-Since parents are independent, a level with 128 or more parents is built
-by forked workers: one per usable core, with at least 64 parents each,
-worker i of w taking every w-th parent from the i-th.  Their keys are
-merged and sorted, so the level is the same for any worker count.
+Since parents are independent, a level is split into w shares, one per
+usable core with at least 64 parents each, share i taking every w-th
+parent from the i-th.  This process builds share 0 and a forked worker
+each other share, so a level below 128 parents forks nothing.  The keys
+are merged and sorted, so the level is the same for any worker count.
 
 Levels are cached per filter so repeated queries (the verification
 commands share the triangle-free levels, for instance) pay once.  A level
@@ -33,8 +34,8 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from collections.abc import Sequence
-from typing import BinaryIO, Iterator
+from collections.abc import Callable, Iterable, Sequence
+from typing import Any, BinaryIO, Iterator
 
 from .canon import canonical_certificate_rows, canonical_labelling
 from .graph import Graph, _graph6_chunks, _key_rows, _upper_key, bits
@@ -92,14 +93,10 @@ class Level(Sequence):
     def __repr__(self) -> str:
         return f"Level(n={self.n}, graphs={len(self._keys)})"
 
-    def graph6(self) -> str:
-        """The graph6 lines of the level, each ending in a newline, written
-        from the keys with no ``Graph`` built."""
-        return "".join(self.graph6_chunks())
-
     def graph6_chunks(self) -> Iterator[str]:
-        """``graph6()`` in consecutive pieces of a bounded number of lines,
-        for writing a level without holding its whole text."""
+        """The level's graph6 lines, each ending in a newline, written from
+        the keys with no ``Graph`` built, in pieces of a bounded number of
+        lines, so the whole text is never held."""
         return _graph6_chunks(self._keys, self.n)
 
 
@@ -222,52 +219,57 @@ def _usable_cores() -> int:
 
 
 def _worker_count(parents: int) -> int:
-    """Forked workers for a level of ``parents`` parents, one per usable
-    core and at least _PARENTS_PER_WORKER parents each; 1 means in-process,
-    as it does where there is no fork or where another thread runs, which
-    a forked child would lose mid-step."""
+    """Shares of a level of ``parents`` parents, one per usable core and at
+    least _PARENTS_PER_WORKER parents each; this process takes one and a
+    forked worker each other, so 1 forks nothing, as where there is no
+    fork or where another thread runs, which a forked child would lose."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         return 1
     return max(1, min(_usable_cores(), parents // _PARENTS_PER_WORKER))
 
 
-def _work(parents: list[int], k: int, q: int | None, fd: int) -> int:
-    """Body of a forked worker: write the kept keys of the order-``k``
-    ``parents`` to ``fd`` as one marshalled list, or its error as one
-    marshalled string; return the exit status."""
-    try:
-        answer = [c for p in parents for c in _children(p, k, q)]
-    except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises
-        answer = f"{type(exc).__name__}: {exc}"
-    with os.fdopen(fd, "wb") as fh:
-        marshal.dump(answer, fh)
-    return int(isinstance(answer, str))
-
-
-def _forked_children(parents: list[int], k: int, q: int | None,
-                     w: int) -> list[int]:
-    """The kept keys of the order-``k`` ``parents`` from ``w`` forked workers,
-    worker i taking parents[i::w] and answering through its own pipe.  An
-    answer is read as it arrives, never held whole as bytes.  Any worker
-    that fails, or ends without a whole list, fails the level, so it is
-    never short."""
+def _flat_map(fn: Callable[[Any], Iterable[Any]], items: Sequence[Any]) -> list[Any]:
+    """``[x for item in items for x in fn(item)]`` over w shares, w from
+    ``_worker_count``: share i is items[i::w], workers 1..w-1 are forked,
+    and this process computes share 0 before reading the workers' answers
+    in order.  A worker sends one marshalled list, or its error as one
+    marshalled string, through its own pipe; it is read once this
+    process's share is done, and never held whole as bytes.  A worker
+    that fails, or ends without a whole list, fails the map, so it is
+    never short; on any failure every forked worker is killed and
+    reaped."""
+    w = _worker_count(len(items))
     workers: list[tuple[int, BinaryIO]] = []
     try:
-        for i in range(w):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker; os._exit runs none of the
-                # parent's exit handlers and flushes none of its buffers
-                code = 1
+        try:
+            for i in range(1, w):
+                rfd, wfd = os.pipe()
                 try:
-                    code = _work(parents[i::w], k, q, wfd)
-                finally:
-                    os._exit(code)
-            os.close(wfd)
-            workers.append((pid, os.fdopen(rfd, "rb")))
-        keys: list[int] = []
-        for i in range(w):
+                    pid = os.fork()
+                except OSError:
+                    os.close(rfd)
+                    os.close(wfd)
+                    raise
+                if pid == 0:  # the worker; os._exit runs none of the
+                    # parent's exit handlers and flushes none of its buffers
+                    code = 1
+                    try:
+                        try:
+                            answer = [x for item in items[i::w] for x in fn(item)]
+                        except Exception as exc:  # noqa: BLE001 - sent to the parent, which raises
+                            answer = f"{type(exc).__name__}: {exc}"
+                        with os.fdopen(wfd, "wb") as fh:
+                            marshal.dump(answer, fh)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(wfd)
+                workers.append((pid, os.fdopen(rfd, "rb")))
+        except OSError as exc:
+            raise EnumerationWorkerError(f"enumeration workers: {exc}") from exc
+        out = [x for item in items[0::w] for x in fn(item)]
+        for i in range(1, w):
             pid, reader = workers[0]
             with reader:
                 try:
@@ -282,10 +284,8 @@ def _forked_children(parents: list[int], k: int, q: int | None,
                           f"no answer, exit status {code}")
                 raise EnumerationWorkerError(
                     f"enumeration worker {i} of {w} failed: {detail}")
-            keys.extend(answer)
-        return keys
-    except OSError as exc:
-        raise EnumerationWorkerError(f"enumeration workers: {exc}") from exc
+            out.extend(answer)
+        return out
     finally:
         if workers:  # after a failure: stop and reap the rest
             import signal
@@ -297,14 +297,10 @@ def _forked_children(parents: list[int], k: int, q: int | None,
 
 def _next_level(parents: list[int], k: int, q: int | None) -> list[int]:
     """The keys of order k + 1 from the keys ``parents`` of order k, by
-    canonical deletion one parent at a time (see ``_children``), in-process
-    or over forked workers; the keys are sorted once merged, so the level
+    canonical deletion one parent at a time (see ``_children``), shared
+    out by ``_flat_map``; the keys are sorted once merged, so the level
     does not depend on the worker count."""
-    w = _worker_count(len(parents))
-    if w == 1:
-        level = [c for p in parents for c in _children(p, k, q)]
-    else:
-        level = _forked_children(parents, k, q, w)
+    level = _flat_map(lambda p: _children(p, k, q), parents)
     level.sort()
     return level
 

@@ -155,6 +155,19 @@ def test_extract_tripartite_command():
     assert (entry["fraction_num"], entry["fraction_den"]) == (0, 1)
 
 
+def test_extract_tripartite_peels_the_lowest_index_vertex_of_least_degree(
+        tmp_path, capsys):
+    # a 4-saturated graph of order 9 (made by saturate --q 4) on which the
+    # peel meets ties: removing the highest-index vertex of least degree
+    # instead gives the parts [[0, 5], [1], [2, 4]]
+    infile = tmp_path / "in.g6"
+    infile.write_text("H|p{}jS\n")
+    assert main(["extract-tripartite", "--C-param", "1", "--in", str(infile)]) == 0
+    entry = json.loads(capsys.readouterr().out)["graphs"][0]
+    assert entry["parts"] == [[0, 5], [3], [6, 7, 8]]
+    assert (entry["covered"], entry["order"]) == (6, 9)
+
+
 def test_verify_thm1_range():
     code, out, _ = run_cli(["verify", "thm1", "--r", "2", "--n", "5..6"])
     assert code == 0
@@ -791,7 +804,7 @@ def test_out_file(tmp_path):
 
 def test_enumerate_writes_a_level_in_chunks(monkeypatch, capsys, tmp_path):
     level = enumerate_graphs(7)  # 1,044 graphs
-    whole = level.graph6()
+    whole = "".join(level.graph6_chunks())
     monkeypatch.setattr(graph, "_GRAPH6_CHUNK", 100)
     assert len(list(level.graph6_chunks())) == 11
     assert main(["enumerate", "--n", "7"]) == 0

@@ -236,13 +236,14 @@ def test_levels_do_not_depend_on_the_worker_count(monkeypatch, q, max_order):
     levels_up_to(max_order, q)
     keys = enumeration._LEVELS[q][:max_order]
     for cores in (1, 2, 3):
-        # one worker per core, with at least 64 parents each
+        # one share per core, with at least 64 parents each; this process
+        # builds one share and forks a worker for each other share
         workers = [min(cores, len(level) // 64) for level in keys[:-1]]
         forked = _counting_forks(monkeypatch, cores)
         for n in range(2, max_order + 1):
             level = enumeration._next_level(keys[n - 2], n - 1, q)
             assert level == keys[n - 1], (cores, q, n)
-        assert len(forked) == sum(w for w in workers if w > 1)
+        assert len(forked) == sum(max(w, 1) - 1 for w in workers)
 
 
 def test_levels_are_built_in_process_while_another_thread_runs(monkeypatch):
@@ -261,9 +262,32 @@ def test_levels_are_built_in_process_while_another_thread_runs(monkeypatch):
     assert forked == []
 
 
+def _level_eight_fails(capsys, error, message, forked):
+    """Building order 8 from the cached order-7 level raises ``error`` with
+    ``message``, twice: through ``levels_up_to`` and through the CLI, which
+    exits 2.  The cache keeps its 7 levels, and every worker in ``forked``
+    has been reaped."""
+    cached = enumeration._LEVELS[None][:]
+    del enumeration._LEVELS[None][7:]
+    try:
+        with pytest.raises(error) as exc:
+            levels_up_to(8)
+        assert str(exc.value) == message
+        assert len(enumeration._LEVELS[None]) == 7
+        assert main(["enumerate", "--n", "8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+        assert len(enumeration._LEVELS[None]) == 7
+    finally:
+        enumeration._LEVELS[None][:] = cached
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_a_worker_that_cannot_be_forked_fails_the_level(monkeypatch, capsys):
     levels_up_to(7)
-    forked = _counting_forks(monkeypatch, 2)
+    forked = _counting_forks(monkeypatch, 3)
     counting_fork = enumeration.os.fork
     calls = []
 
@@ -274,26 +298,24 @@ def test_a_worker_that_cannot_be_forked_fails_the_level(monkeypatch, capsys):
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         return counting_fork()
 
+    pipes = []
+    pipe = enumeration.os.pipe
+
+    def recording_pipe():
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
+
     monkeypatch.setattr(enumeration.os, "fork", second_fork_fails)
-    cached = enumeration._LEVELS[None][:]
-    del enumeration._LEVELS[None][7:]
+    monkeypatch.setattr(enumeration.os, "pipe", recording_pipe)
     message = f"enumeration workers: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
-    try:
-        with pytest.raises(enumeration.EnumerationWorkerError) as exc:
-            levels_up_to(8)
-        assert str(exc.value) == message
-        assert len(enumeration._LEVELS[None]) == 7
-        assert main(["enumerate", "--n", "8"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {message}\n"
-        assert len(enumeration._LEVELS[None]) == 7
-    finally:
-        enumeration._LEVELS[None][:] = cached
-    # the one worker of each attempt that was forked has been reaped
+    _level_eight_fails(capsys, enumeration.EnumerationWorkerError, message, forked)
+    # the one worker of each attempt that was forked has been reaped, and
+    # every pipe is closed, the one made for the failed fork included
     assert calls == [0, 1, 0, 1] and len(forked) == 2
-    for pid in forked:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 @pytest.mark.parametrize("how,detail", [
@@ -303,7 +325,7 @@ def test_a_worker_that_cannot_be_forked_fails_the_level(monkeypatch, capsys):
 ], ids=["raise", "kill", "exit"])
 def test_a_failing_worker_fails_the_level(monkeypatch, capsys, how, detail):
     levels_up_to(7)
-    boom = enumeration._LEVELS[None][6][500]  # the key of a parent of worker 0
+    boom = enumeration._LEVELS[None][6][501]  # the key of a parent of worker 1
     forked = _counting_forks(monkeypatch, 2)
     children = enumeration._children
     here = os.getpid()
@@ -319,22 +341,26 @@ def test_a_failing_worker_fails_the_level(monkeypatch, capsys, how, detail):
         return children(parent, k, q)
 
     monkeypatch.setattr(enumeration, "_children", failing)
-    cached = enumeration._LEVELS[None][:]
-    del enumeration._LEVELS[None][7:]
-    message = f"enumeration worker 0 of 2 failed: {detail}"
-    try:
-        with pytest.raises(enumeration.EnumerationWorkerError) as exc:
-            levels_up_to(8)
-        assert str(exc.value) == message
-        assert len(enumeration._LEVELS[None]) == 7
-        assert main(["enumerate", "--n", "8"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err == f"error: {message}\n"
-        assert len(enumeration._LEVELS[None]) == 7
-    finally:
-        enumeration._LEVELS[None][:] = cached
-    # every worker, the one still running included, has been reaped
-    assert len(forked) == 4
-    for pid in forked:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    message = f"enumeration worker 1 of 2 failed: {detail}"
+    _level_eight_fails(capsys, enumeration.EnumerationWorkerError, message, forked)
+    # the one worker of each attempt has been reaped
+    assert len(forked) == 2
+
+
+def test_a_failure_in_this_process_share_fails_the_level(monkeypatch, capsys):
+    levels_up_to(7)
+    boom = enumeration._LEVELS[None][6][500]  # the key of a parent of share 0
+    forked = _counting_forks(monkeypatch, 2)
+    children = enumeration._children
+    here = os.getpid()
+
+    def failing(parent, k, q):
+        # only ever in this process, while the worker runs or has answered
+        if parent == boom and k == 7 and os.getpid() == here:
+            raise ValueError("boom")
+        return children(parent, k, q)
+
+    monkeypatch.setattr(enumeration, "_children", failing)
+    _level_eight_fails(capsys, ValueError, "boom", forked)
+    # the one worker of each attempt has been killed and reaped
+    assert len(forked) == 2
