@@ -148,7 +148,10 @@ def _canon_search(rows: Sequence[int], k: int, autos: list | None = None
             sub = cells[:idx] + [1 << v, cell ^ (1 << v)] + cells[idx + 1:]
             rec(_refine(sub, rows, [1 << v]))
 
-    rec(_refine([(1 << k) - 1], rows, [(1 << k) - 1]))
+    try:
+        rec(_refine([(1 << k) - 1], rows, [(1 << k) - 1]))
+    finally:
+        del rec  # rec's cell holds rec: a cycle only the collector frees
     return best, best_lab
 
 

@@ -115,6 +115,14 @@ def _int_at_least(least: int) -> Callable[[str], int]:
     return parse
 
 
+class _AfterFamily(argparse.Action):
+    """A family option given before the family name: argparse would read
+    its value as the family, so the option itself is the usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the family name")
+
+
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = (int(x) for x in spec.split("..", 1))
@@ -267,7 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--in", dest="infile",
                            help="graph6 input file (default stdin)")
 
-    p = sub.add_parser("construct", help="emit a named construction")
+    # each family option stands here too, where a value is optional so that
+    # --timing and --format json alike reach _AfterFamily; no abbreviations,
+    # so no misspelt family option reads as one of these
+    p = sub.add_parser("construct", help="emit a named construction",
+                       allow_abbrev=False)
+    for opt in ("--format", "--out", "--timing"):
+        p.add_argument(opt, nargs="?", action=_AfterFamily, help=argparse.SUPPRESS)
     families = p.add_subparsers(dest="family", required=True)
     for family in sorted(_FAMILIES):
         # no abbreviations: a family without --f must not read it as --format

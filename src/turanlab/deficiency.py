@@ -92,8 +92,11 @@ def _maximal_cliques(g: Graph) -> Iterator[int]:
             pmask ^= vb
             xmask |= vb
 
-    if g.n:
-        yield from rec(0, (1 << g.n) - 1, 0)
+    try:
+        if g.n:
+            yield from rec(0, (1 << g.n) - 1, 0)
+    finally:
+        del rec  # rec's cell holds rec: a cycle only the collector frees
 
 
 def blowup_edge_count(g: Graph, weights: Sequence[int]) -> int:

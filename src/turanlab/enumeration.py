@@ -153,7 +153,10 @@ def _extension_sets(rows: Sequence[int], k: int, q: int | None) -> list[int]:
             if size < delta:
                 grow(nxt, u + 1, size + 1)
 
-    grow(0, 0, 0)
+    try:
+        grow(0, 0, 0)
+    finally:
+        del grow  # grow's cell holds grow: a cycle only the collector frees
     return out
 
 

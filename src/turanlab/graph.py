@@ -352,8 +352,14 @@ def from_graph6(text: str) -> Graph:
 
 
 def read_graph6_lines(lines: Iterable[str]) -> list[Graph]:
+    """The graphs of the non-blank lines.  Equal rows share one int: each
+    row reuses the first int of its value decoded in this call, so a
+    stream of small graphs holds each distinct row once."""
+    shared: dict[int, int] = {}
     out = []
     for line in lines:
         if line.strip(_BLANK):
-            out.append(from_graph6(line))
+            g = from_graph6(line)
+            g.rows = tuple([shared.setdefault(r, r) for r in g.rows])
+            out.append(g)
     return out

@@ -117,7 +117,10 @@ def max_clique(g: Graph) -> tuple[int, ...]:
             r.pop()
             pmask &= ~(1 << v)
 
-    expand([], (1 << g.n) - 1)
+    try:
+        expand([], (1 << g.n) - 1)
+    finally:
+        del expand  # expand's cell holds expand: a cycle only the collector frees
     return tuple(sorted(best))
 
 
@@ -314,13 +317,16 @@ def _k_color(rows: Sequence[int], n: int, k: int, budget: _Budget) -> list[int] 
     uncol = everyone
     # clique vertex i takes colour i; one that propagation coloured
     # already has it, since its clique neighbours hold the other colours
-    for i, v in enumerate(clique):
-        w = new[v]
-        if (uncol >> w) & 1:
-            uncol = place(avail, size, cls, uncol, w, i)
-            if uncol < 0:
-                return None
-    found = search(avail, size, cls, uncol)
+    try:
+        for i, v in enumerate(clique):
+            w = new[v]
+            if (uncol >> w) & 1:
+                uncol = place(avail, size, cls, uncol, w, i)
+                if uncol < 0:
+                    return None
+        found = search(avail, size, cls, uncol)
+    finally:
+        del search  # search's cell holds search: a cycle only the collector frees
     if not found:
         return None
     color = [0] * n

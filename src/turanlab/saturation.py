@@ -7,9 +7,9 @@ q-2 common neighbours forming a clique.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .graph import Graph
+from .graph import Graph, bits
 from .invariants import CliquePresentError, _best_clique, find_clique
 
 
@@ -36,26 +36,40 @@ def _completion(rows: Sequence[int], u: int, v: int, q: int
     return _best_clique(rows, rows[u] & rows[v], q - 2)
 
 
+def _completions(g: Graph, q: int
+                 ) -> Iterator[tuple[tuple[int, int], tuple[int, ...] | None]]:
+    """Each non-edge (u, v), u < v, in lexicographic order, with its
+    completion witness or None."""
+    rows = g.rows
+    for u in range(g.n):
+        # the non-neighbours of u after u
+        for v in bits(~rows[u] & ((1 << g.n) - (2 << u))):
+            yield (u, v), _completion(rows, u, v, q)
+
+
+def _first_missing(g: Graph, q: int) -> tuple[int, int] | None:
+    """The first non-edge without a completion, or None: the verdict of
+    ``is_saturated`` on a K_q-free graph, without building the report."""
+    return next((e for e, w in _completions(g, q) if w is None), None)
+
+
 def is_saturated(g: Graph, q: int) -> SaturationReport:
     """Full saturation report: K_q-freeness (with an obstruction witness if
-    violated) and a completion witness per non-edge."""
+    violated) and a completion witness per non-edge.  Equal witnesses are
+    one tuple object."""
     if q < 3:
         raise ValueError("q must be >= 3")
     obstruction = find_clique(g, q)
     completions: dict[tuple[int, int], tuple[int, ...] | None] = {}
-    all_completed = True
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                w = _completion(g.rows, u, v, q)
-                completions[(u, v)] = w
-                if w is None:
-                    all_completed = False
+    shared: dict[tuple[int, ...] | None, tuple[int, ...] | None] = {}
+    for e, w in _completions(g, q):
+        completions[e] = shared.setdefault(w, w)
+    # the distinct witnesses hold None when some non-edge has no completion
     return SaturationReport(
         q=q,
         clique_free=obstruction is None,
         obstruction=obstruction,
-        saturated=obstruction is None and all_completed,
+        saturated=obstruction is None and None not in shared,
         completions=completions,
     )
 

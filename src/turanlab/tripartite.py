@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graph import Graph, bits
-from .invariants import CliquePresentError, _peel
-from .saturation import is_saturated
+from .invariants import CliquePresentError, _peel, find_clique
+from .saturation import _first_missing
 
 
 class TripartiteCertificate(NamedTuple):
@@ -67,15 +67,15 @@ def validate_certificate(g: Graph, cert: TripartiteCertificate) -> None:
 def extract_tripartite(g: Graph, c_param: int = 10) -> TripartiteCertificate:
     """Extract a complete tripartite subgraph from a K4-free, 4-saturated
     graph (both preconditions checked, witnesses reported on failure)."""
-    sat = is_saturated(g, 4)
-    if sat.obstruction is not None:
-        raise CliquePresentError("graph contains a K_4", sat.obstruction)
-    if not sat.saturated:
-        missing = sat.missing()[0]
+    obstruction = find_clique(g, 4)
+    if obstruction is not None:
+        raise CliquePresentError("graph contains a K_4", obstruction)
+    missing = _first_missing(g, 4)
+    if missing is not None:
         raise CliquePresentError(
             f"graph is not 4-saturated: non-edge {missing} has no completion",
             missing)
-    exceptional, parts = _peel(g, 3)  # is_saturated has found no K4
+    exceptional, parts = _peel(g, 3)  # find_clique has found no K4
     small_nbhds = 0   # union of A_v over all peeled v
     core = sum(1 << v for v in exceptional)
     for v in exceptional:

@@ -431,14 +431,13 @@ def analyze_graph(g: Graph, r: int | None = None, q: int | None = None) -> dict:
     """Invariant report for one graph: clique number, chromatic number,
     twin classes, saturation, deficiency.  ``r`` defaults to the clique
     number and ``q`` to r+1."""
-    from .saturation import is_saturated
+    from .saturation import _first_missing
 
     w, wit = clique_number(g)
     chi, col = _chromatic_number(g, w)
     tc = twin_classes(g)
     rr = w if r is None else r
     qq = (rr + 1) if q is None else q
-    sat = is_saturated(g, qq) if qq >= 3 else None
     entry: dict = {
         "n": g.n,
         "edges": g.edge_count,
@@ -449,11 +448,12 @@ def analyze_graph(g: Graph, r: int | None = None, q: int | None = None) -> dict:
         "twin_class_count": len(tc),
         "twin_classes": [list(b) for b in tc],
     }
-    if sat is not None:
+    if qq >= 3:
+        clique_free = find_clique(g, qq) is None
         entry["saturation"] = {
             "q": qq,
-            "clique_free": sat.clique_free,
-            "saturated": sat.saturated,
+            "clique_free": clique_free,
+            "saturated": clique_free and _first_missing(g, qq) is None,
         }
     if rr == w and rr >= 1:
         rep = deficiency(g, rr)

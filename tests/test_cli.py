@@ -51,6 +51,18 @@ def test_analyze_turan():
     assert entry["deficiency"]["value"] == 0
 
 
+@pytest.mark.parametrize("source,saturation", [
+    # K_{3,2}: a non-edge inside a part has an independent common neighbourhood
+    (["turan", "--n", "5", "--r", "2"], {"q": 4, "clique_free": True, "saturated": False}),
+    (["turan", "--n", "4", "--r", "4"], {"q": 4, "clique_free": False, "saturated": False}),
+], ids=["k32", "k4"])
+def test_analyze_reports_an_unsaturated_graph(tmp_path, capsys, source, saturation):
+    infile = tmp_path / "in.g6"
+    assert main(["construct", *source, "--out", str(infile)]) == 0
+    assert main(["analyze", "--q", "4", "--in", str(infile)]) == 0
+    assert json.loads(capsys.readouterr().out)["graphs"][0]["saturation"] == saturation
+
+
 def test_enumerate_triangle_free_five():
     code, out, _ = run_cli(["enumerate", "--n", "5", "--filter", "triangle-free"])
     assert code == 0
@@ -540,6 +552,14 @@ _OPTION_ERRORS = [
      "turanlab: error: unrecognized arguments: --m 3"),
     (["enumerate", "--n", "4", "--r", "7"],
      "error: enumerate --filter none does not read --r"),
+    # a family option before the family name, whose value argparse would
+    # read as the family
+    (["construct", "--format", "json", "turan", "--n", "5", "--r", "2"],
+     "turanlab construct: error: --format goes after the family name"),
+    (["construct", "--out", "turan.g6", "turan", "--n", "5", "--r", "2"],
+     "turanlab construct: error: --out goes after the family name"),
+    (["construct", "--timing", "turan", "--n", "5", "--r", "2", "--format", "json"],
+     "turanlab construct: error: --timing goes after the family name"),
 ]
 
 

@@ -5,6 +5,7 @@ canonical-deletion generator is also checked level by level against the
 global-seen-set generator it replaced, which labels every child."""
 
 import errno
+import gc
 import os
 import signal
 import threading
@@ -12,9 +13,11 @@ from itertools import combinations
 
 import pytest
 
-from turanlab import enumeration
+from turanlab import enumeration, invariants
 from turanlab.canon import canonical_certificate_rows, canonical_labelling, certificate
 from turanlab.cli import main
+from turanlab.constructions import groetzsch_graph
+from turanlab.deficiency import optimal_blowup
 from turanlab.enumeration import (
     EnumerationLimitError,
     enumerate_graphs,
@@ -364,3 +367,28 @@ def test_a_failure_in_this_process_share_fails_the_level(monkeypatch, capsys):
     _level_eight_fails(capsys, ValueError, "boom", forked)
     # the one worker of each attempt has been killed and reaped
     assert len(forked) == 2
+
+
+def test_the_recursive_searches_leave_no_reference_cycle(monkeypatch):
+    # canon's search, the colouring and clique searches, extension-set
+    # growth and the maximal-clique walk each recurse through a nested
+    # function whose cell holds it; the cell is cleared when the call
+    # ends, so with the collector off nothing is left for it to free
+    g = groetzsch_graph()
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_labelling(g.rows, g.n)
+        canonical_certificate_rows(g.rows, g.n)
+        assert gc.collect() == 0
+        invariants.is_r_colorable(g, 3)
+        invariants.chromatic_number(g)
+        invariants.max_clique(g)
+        levels_up_to(7, 3)
+        optimal_blowup(g, 20)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -16,6 +16,7 @@ from turanlab.graph import (
     complete_multipartite,
     cycle_graph,
     from_graph6,
+    read_graph6_lines,
     to_graph6,
     twin_classes,
 )
@@ -286,3 +287,17 @@ def test_twin_classes_equal_degrees():
             for i, u in enumerate(block):
                 for v in block[i + 1:]:
                     assert not g.has_edge(u, v)
+
+
+def test_graphs_read_together_share_equal_rows():
+    lines = []
+    for i, g in enumerate(enumerate_graphs(7)):
+        lines.append(to_graph6(g) + "\n")
+        if i % 97 == 0:
+            lines += ["\n", " \r\n"]
+    graphs = read_graph6_lines(lines)
+    assert graphs == [from_graph6(line) for line in lines if line.strip()]
+    assert len(graphs) == 1044
+    # every row is alive, so distinct ids are distinct int objects
+    rows = [r for g in graphs for r in g.rows]
+    assert len({id(r) for r in rows}) == len(set(rows))

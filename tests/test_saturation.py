@@ -1,6 +1,6 @@
 import pytest
 
-from turanlab.constructions import turan_number
+from turanlab.constructions import sat_non_blowup, sat_twin_free, turan_number
 from turanlab.enumeration import enumerate_graphs
 from turanlab.graph import (
     Graph,
@@ -9,8 +9,8 @@ from turanlab.graph import (
     cycle_graph,
     twin_classes,
 )
-from turanlab.invariants import CliquePresentError, is_clique_free
-from turanlab.saturation import is_saturated, saturate
+from turanlab.invariants import CliquePresentError, find_clique, is_clique_free
+from turanlab.saturation import _first_missing, is_saturated, saturate
 
 # Largest twin-class count observed over all 3-saturated graphs of order
 # at most 8 above the near-extremal size bar; frozen after the first
@@ -50,6 +50,31 @@ def test_clique_present_reported():
     rep = is_saturated(complete_graph(4), 4)
     assert not rep.clique_free and not rep.saturated
     assert rep.obstruction is not None and len(rep.obstruction) == 4
+
+
+def _graphs_up_to_seven_and_two_saturated():
+    for n in range(8):
+        yield from enumerate_graphs(n)
+    yield sat_twin_free(4, 3)
+    yield sat_non_blowup(4, 3, 30)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_the_verdict_scan_agrees_with_the_report(q):
+    # extract_tripartite and analyze_graph take their verdict from
+    # find_clique and the first non-edge without a completion
+    for g in _graphs_up_to_seven_and_two_saturated():
+        rep = is_saturated(g, q)
+        first = _first_missing(g, q)
+        assert find_clique(g, q) == rep.obstruction, g.rows
+        assert ([] if first is None else [first]) == rep.missing()[:1], g.rows
+
+
+def test_equal_witnesses_are_one_object():
+    rep = is_saturated(complete_multipartite([3, 3, 3]), 4)
+    witnesses = list(rep.completions.values())
+    assert len(witnesses) == 9 and len(set(witnesses)) == 3
+    assert len({id(w) for w in witnesses}) == 3
 
 
 def test_saturate_examples():
