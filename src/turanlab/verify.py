@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from .canon import certificate
 from .constructions import (
     _blocks,
     _c5_blowup,
@@ -86,17 +85,50 @@ def verify_threshold(r: int, n_values: Iterable[int]) -> dict:
     return {"check": "threshold", "r": r, "cases": cases, "ok": ok}
 
 
-def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
-    """Certificate -> the (c5, parts) pairs, in generation order, of every
-    blow-up of C5 (class sizes c5, cyclic, least under the cycle's ten
-    symmetries) joined to the balanced complete (r - 2)-partite graph on
-    the other vertices (class sizes parts) with the threshold size, each
-    re-validated.  For a fixed c5 every other split of the other vertices
-    into r - 2 classes has fewer edges, so only the balanced one can reach
-    the threshold.  A member above it would be K_{r+1}-free and not
-    r-colourable, refuting the threshold, and raises."""
+def _least_turn(c5: tuple[int, ...]) -> tuple[int, ...]:
+    """c5 least under the cycle's ten symmetries."""
+    turns = [c5[i:] + c5[:i] for i in range(5)]
+    return min(turns + [t[::-1] for t in turns])
+
+
+def _family_key(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(c5 least under ``_least_turn``, parts descending) when g is C5
+    blown up on classes of sizes c5 and joined to the complete
+    multipartite graph on classes of sizes parts, else None.  Those are
+    g's twin classes, and their rows fix g up to isomorphism."""
+    classes = twin_classes(g)
+    masks = [sum(1 << v for v in c) for c in classes]
+    rows = [g.rows[c[0]] for c in classes]
+    full = (1 << g.n) - 1
+    parts = [i for i, m in enumerate(masks) if rows[i] == full ^ m]
+    ring = [i for i in range(len(classes)) if i not in parts]
+    if len(ring) != 5:
+        return None
+    others = sum(masks[i] for i in parts)
+    cycle = ring[:1]
+    while len(cycle) < 5:  # walk to the least unvisited neighbouring class
+        step = [i for i in ring if i not in cycle and rows[cycle[-1]] & masks[i]]
+        if not step:
+            return None
+        cycle.append(step[0])
+    for k, i in enumerate(cycle):
+        if rows[i] != masks[cycle[k - 1]] | masks[cycle[(k + 1) % 5]] | others:
+            return None
+    return (_least_turn(tuple(len(classes[i]) for i in cycle)),
+            tuple(sorted((len(classes[i]) for i in parts), reverse=True)))
+
+
+def family_inventory(n: int, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``_family_key`` keys, in generation order, of every blow-up of
+    C5 (class sizes c5, least under the cycle's ten symmetries) joined to
+    the balanced complete (r - 2)-partite graph on the other vertices
+    (class sizes parts) with the threshold size, each re-validated.  For a
+    fixed c5 every other split of the other vertices into r - 2 classes
+    has fewer edges, so only the balanced one can reach the threshold.  A
+    member above it would be K_{r+1}-free and not r-colourable, refuting
+    the threshold, and raises."""
     size = threshold_size(n, r)
-    inventory: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    inventory = []
     # s cycle vertices, m = n - s others, at least one per class; none for r = 2
     for s in range(n if r == 2 else 5, n - r + 3):
         m = n - s
@@ -104,24 +136,22 @@ def family_inventory(n: int, r: int) -> dict[tuple[int, ...], list[tuple[tuple[i
         joins = s * m + (m * m - sum(x * x for x in parts)) // 2  # edges off the cycle
         for cuts in combinations(range(1, s), 4):
             c5 = tuple(b - a for a, b in zip((0, *cuts), (*cuts, s)))
-            turns = [c5[i:] + c5[:i] for i in range(5)]
-            edges = sum(a * b for a, b in zip(c5, turns[1])) + joins
-            if edges < size or c5 != min(turns + [t[::-1] for t in turns]):
+            edges = sum(a * b for a, b in zip(c5, c5[1:] + c5[:1])) + joins
+            if edges < size or c5 != _least_turn(c5):
                 continue
             if edges > size:
                 raise AssertionError(f"family member c5 {c5}, parts {parts} has "
                                      f"{edges} edges, above the threshold {size}")
             blocks = _blocks([*c5, *parts])
-            g = _c5_blowup(blocks[:5], blocks[5:])
-            _revalidate_extremal(g, r, size)
-            inventory.setdefault(certificate(g), []).append((c5, parts))
+            _revalidate_extremal(_c5_blowup(blocks[:5], blocks[5:]), r, size)
+            inventory.append((c5, parts))
     return inventory
 
 
 def classify_extremal(r: int, n: int) -> dict:
-    """One case of ``verify_classification``: every extremal graph must be
-    isomorphic to a family member; with the maximum off the threshold there
-    are none of the predicted size, and the check fails."""
+    """One case of ``verify_classification``: every extremal graph's
+    ``_family_key`` must be a family member's; with the maximum off the
+    threshold there are none of the predicted size, and the check fails."""
     best, extremal, predicted, _ = _threshold_case(r, n)
     if best != predicted:
         extremal = []
@@ -129,14 +159,13 @@ def classify_extremal(r: int, n: int) -> dict:
     matched = []
     unexplained = []
     for g in extremal:
-        labels = inventory.get(certificate(g))
-        if labels is None:
-            unexplained.append(to_graph6(g))
+        key = _family_key(g)
+        if key in inventory:
+            c5, parts = key
+            matched.append({"graph6": to_graph6(g),
+                            "family": [{"c5": list(c5), "parts": list(parts)}]})
         else:
-            matched.append({
-                "graph6": to_graph6(g),
-                "family": [{"c5": list(c5), "parts": list(parts)} for c5, parts in labels],
-            })
+            unexplained.append(to_graph6(g))
     ok = not unexplained and bool(extremal)
     return {
         "n": n,
@@ -449,7 +478,7 @@ def analyze_graph(g: Graph, r: int | None = None, q: int | None = None) -> dict:
         "twin_classes": [list(b) for b in tc],
     }
     if qq >= 3:
-        clique_free = find_clique(g, qq) is None
+        clique_free = w < qq
         entry["saturation"] = {
             "q": qq,
             "clique_free": clique_free,

@@ -3,21 +3,26 @@ import sys
 
 import pytest
 
-from turanlab import invariants
+from turanlab import canon, invariants
 from turanlab.canon import certificate
 from turanlab.constructions import (
+    _blocks,
+    _c5_blowup,
     extremal_family,
     groetzsch_graph,
     threshold_size,
     turan_class_sizes,
 )
-from turanlab.graph import from_graph6, cycle_graph
+from turanlab.enumeration import levels_up_to
+from turanlab.graph import Graph, cycle_graph, from_graph6
 from turanlab.verify import (
+    _family_key,
     _threshold_case,
     analyze_graph,
     classify_extremal,
     deficiency_table,
     family_inventory,
+    verify_classification,
     verify_threshold,
 )
 
@@ -67,14 +72,21 @@ def test_classification_r2_n8_two_classes():
     assert all(len(m["family"]) == 1 for m in rep["matched"])
 
 
+def _member(c5, parts):
+    blocks = _blocks([*c5, *parts])
+    return _c5_blowup(blocks[:5], blocks[5:])
+
+
 def test_family_inventory_prime_membership():
     # an (l, variant) member with extra vertex u, its l neighbours W in
     # the host class H and its neighbour v2 in the other class O is the
     # blow-up of C5 on u, W, O - v2, H - W, v2: sizes (1, l, |O| - 1,
     # |H| - l, 1), here (1, 2, 3, 1, 1) and (1, 2, 2, 2, 1)
     inv = family_inventory(8, 2)
-    assert inv[certificate(extremal_family(8, 2, 2, "prime"))] == [((1, 1, 1, 2, 3), ())]
-    assert inv[certificate(extremal_family(8, 2, 2, "standard"))] == [((1, 1, 2, 2, 2), ())]
+    for variant, key in (("prime", ((1, 1, 1, 2, 3), ())),
+                         ("standard", ((1, 1, 2, 2, 2), ()))):
+        assert _family_key(extremal_family(8, 2, 2, variant)) == key
+        assert key in inv
 
 
 @pytest.mark.parametrize("n,r,g6", [(9, 3, "H?~vnv{"), (7, 4, "FLr~w"), (8, 5, "GLr~~{")])
@@ -82,18 +94,20 @@ def test_family_inventory_holds_c5_joined_to_a_turan_graph(n, r, g6):
     # C5 joined to T(n-5, r-2) is extremal: at (9, 3) no (l, variant)
     # member is isomorphic to it, and at (7, 4) and (8, 5) it is the only
     # member, l = 1 standard
-    parts = tuple(turan_class_sizes(n - 5, r - 2))
-    assert family_inventory(n, r)[certificate(from_graph6(g6))] == [((1,) * 5, parts)]
+    key = ((1,) * 5, tuple(turan_class_sizes(n - 5, r - 2)))
+    assert _family_key(from_graph6(g6)) == key
+    assert key in family_inventory(n, r)
 
 
 @pytest.mark.parametrize("r,orders", [(2, range(5, 11)), (3, range(6, 9)), (4, range(7, 9))])
 def test_family_inventory_is_the_extremal_set(r, orders):
-    # both directions: every extremal graph is in the inventory, and every
-    # member is extremal
+    # both directions, by canonical labelling, which thm2 no longer uses:
+    # every extremal graph is a member, and every member is extremal
     for n in orders:
         best, extremal, predicted, _ = _threshold_case(r, n)
         assert best == predicted
-        assert set(family_inventory(n, r)) == {certificate(g) for g in extremal}, n
+        members = {certificate(_member(*key)) for key in family_inventory(n, r)}
+        assert members == {certificate(g) for g in extremal}, n
 
 
 def test_family_inventory_holds_every_l_variant_member():
@@ -108,7 +122,7 @@ def test_family_inventory_holds_every_l_variant_member():
                     except ValueError:
                         continue
                     members += 1
-                    assert certificate(g) in inv, (n, r, l, variant)
+                    assert _family_key(g) in inv, (n, r, l, variant)
     assert members == 229
 
 
@@ -118,7 +132,71 @@ def test_family_inventory_holds_the_order_10_graph_the_old_family_missed():
     # T(5, 1) is isomorphic to it
     g = from_graph6("I?~vff|~_")
     assert g.edge_count == threshold_size(10, 3)
-    assert family_inventory(10, 3)[certificate(g)] == [((1, 1, 1, 1, 2), (4,))]
+    assert _family_key(g) == ((1, 1, 1, 1, 2), (4,))
+    assert _family_key(g) in family_inventory(10, 3)
+
+
+def test_family_inventory_meets_the_threshold_for_r_up_to_8():
+    # thm1's closed form at orders no level reaches: the C5-join family
+    # has a member at the threshold, and family_inventory raises on one
+    # above it
+    for r in range(2, 9):
+        for n in range(r + 3, 25):
+            assert family_inventory(n, r), (n, r)
+
+
+def test_family_key_is_sound_on_every_graph_of_order_8_or_less():
+    # a key is a C5 blow-up joined to a complete multipartite graph, up to
+    # isomorphism, and no graph has a key it is not
+    keyed = 0
+    for level in levels_up_to(8):
+        for g in level:
+            key = _family_key(g)
+            if key is not None:
+                keyed += 1
+                assert certificate(g) == certificate(_member(*key)), key
+    assert keyed == 22
+
+
+def test_family_key_reads_back_every_inventory_member():
+    # each member gives back its own key, and no two members are
+    # isomorphic, so a key names one family member
+    seen = set()
+    members = 0
+    for r in range(2, 6):
+        for n in range(r + 3, 21):
+            for key in family_inventory(n, r):
+                g = _member(*key)
+                assert _family_key(g) == key, (n, r)
+                seen.add(certificate(g))
+                members += 1
+    assert len(seen) == members
+
+
+def _without_edge(g, u, v):
+    return Graph(g.n, [e for e in g.edges() if e not in {(u, v), (v, u)}])
+
+
+@pytest.mark.parametrize("g", [
+    Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    Graph(6, [*cycle_graph(5).edges(), (0, 5)]),
+    # (1, 1, 1, 2, 3) joined to a vertex, less the edge between its two
+    # adjacent singleton classes: every class is still a twin class
+    _without_edge(_member((1, 1, 1, 2, 3), (1,)), 0, 1),
+], ids=["p5", "c5-and-a-pendant", "blowup-less-an-edge"])
+def test_family_key_refuses_a_graph_outside_the_family(g):
+    assert _family_key(g) is None
+
+
+def test_thm2_labels_no_graph(monkeypatch):
+    levels_up_to(10, 3)  # the levels are labelled when they are built
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was labelled")
+
+    monkeypatch.setattr(canon, "_labelling", refuse)
+    assert verify_classification(2, range(5, 11))["ok"]
+    assert family_inventory(12, 4)
 
 
 def test_deficiency_table_pinch_35():
